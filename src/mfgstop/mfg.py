@@ -2,12 +2,15 @@
 
 Because the coupled reward derives from a concave potential F, a relaxed
 equilibrium is exactly a maximizer of F over the admissible polytope.
-Each iteration computes the best response to the current crowd (an
-obstacle problem plus a forward pass), an exact or golden-section line
-search along the segment toward it, and a convex update.  The
-exploitability gap pair(f(., m), m_tilde) - pair(f(., m), m) is both the
-Nash defect of m and an upper bound on the remaining potential gap, so
-it doubles as the stopping criterion.
+Each iteration computes the moment paths of the current crowd once,
+the best response to it (an obstacle problem plus a forward pass), an
+exact or golden-section line search along the segment toward it, and a
+convex update.  The golden section runs on moment paths: F along the
+segment is a function of (1 - rho) y + rho y_tilde and two h pairings,
+so each probe costs O(K).  The exploitability gap
+pair(f(., m), m_tilde) - pair(f(., m), m) is both the Nash defect of m
+and an upper bound on the remaining potential gap, so it doubles as the
+stopping criterion.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConcaveDetected, ValidationError
+from .errors import NonConcaveDetected, SolverError, ValidationError
 from .forward import MassLedger, measure_ledger, stopped_forward_measure
-from .measures import MeasureFamily, all_continue_measure, convex_combine, moment, pair
+# moment is not called here any more, but perfbench/tracer.py patches it
+# in this namespace, so it stays importable from it
+from .measures import MeasureFamily, convex_combine, moment, pair  # noqa: F401
 from .model_core import (
     DiffusionModel,
     InitialMeasure,
@@ -27,7 +32,14 @@ from .model_core import (
     TransitionOperator,
 )
 from .obstacle import ValueFunction, solve_vi, value_at_initial
-from .reward import RewardSpec, directional_gain, evaluate_reward, potential_value
+from .reward import (
+    RewardSpec,
+    directional_gain,
+    evaluate_reward,
+    moment_paths,
+    potential_value,
+    segment_potential,
+)
 
 __all__ = [
     "ModelContext",
@@ -63,10 +75,12 @@ class BestResponse:
     ledger: MassLedger
 
 
-def best_response(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext) -> BestResponse:
+def best_response(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext,
+                  ys: list[np.ndarray] | None = None) -> BestResponse:
     """Optimal stopping response to the crowd m: solve the obstacle
-    problem for f(., m) and push the initial measure through its rule."""
-    f = evaluate_reward(spec, m)
+    problem for f(., m) and push the initial measure through its rule.
+    ys, if given, must be ``moment_paths(spec, m)``."""
+    f = evaluate_reward(spec, m, ys=ys)
     v = solve_vi(f, ctx.transition, ctx.dt)
     fam, ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
     return BestResponse(family=fam, value_fn=v, f_grid=f, ledger=ledger)
@@ -78,15 +92,18 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
-                dt: float) -> float:
+                dt: float, f: np.ndarray | None = None,
+                ys: list[np.ndarray] | None = None) -> float:
     """Maximize rho -> F(m + rho (m_tilde - m)) over [0, 1].
 
     All-linear specs admit a closed-form quadratic maximizer.  Otherwise
-    a golden-section search refines to an interval of width 1e-10, with
-    a midpoint-concavity guard on the sampled values.  Boundary ties
-    resolve to the smaller rho.
+    a golden-section search on the moment paths of m and m_tilde
+    (``segment_potential``, O(K) per probe) refines to an interval of
+    width 1e-10, with a midpoint-concavity guard on the sampled values.
+    Boundary ties resolve to the smaller rho.  f and ys, if given, must
+    be ``evaluate_reward(spec, m)`` and ``moment_paths(spec, m)``.
     """
-    gain = directional_gain(spec, m, m_tilde, dt)
+    gain = directional_gain(spec, m, m_tilde, dt, f=f)
 
     if spec.all_linear:
         grid = m.grid if m.grid is not None else spec.grid
@@ -106,9 +123,7 @@ def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
             return 0.0
         return min(1.0, gain / curv)
 
-    def phi(rho):
-        return potential_value(spec, convex_combine(m, m_tilde, rho), dt)
-
+    phi = segment_potential(spec, m, m_tilde, dt, ys=ys)
     probes = [0.0, 0.25, 0.5, 0.75, 1.0]
     vals = {r: phi(r) for r in probes}
     scale = max(1.0, max(abs(v) for v in vals.values()))
@@ -224,32 +239,34 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         m = m_init
 
     trace = IterationTrace()
-    first_g = spec.terms[0][1] if spec.terms else None
     start = time.perf_counter()
 
-    best = None  # (eps, m, br)
+    best = None  # (eps, m, br, ys)
     converged = False
     iterations = 0
     while True:
-        br = best_response(spec, m, ctx)
+        ys = moment_paths(spec, m)
+        br = best_response(spec, m, ctx, ys=ys)
         eps = pair(br.f_grid, br.family, ctx.dt) - pair(br.f_grid, m, ctx.dt)
+        if not np.isfinite(eps):
+            raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
+                              "the reward or the value function is not finite")
         if best is None or eps < best[0]:
-            best = (eps, m, br)
+            best = (eps, m, br, ys)
         if eps <= eps_tol:
             converged = True
             break
         if iterations >= max_iters:
             break
-        rho = line_search(spec, m, br.family, ctx.dt)
-        mom = moment(m, first_g).values if first_g is not None else np.zeros(grid.K + 1)
-        trace.append(potential_value(spec, m, ctx.dt), eps, rho, mom,
+        rho = line_search(spec, m, br.family, ctx.dt, f=br.f_grid, ys=ys)
+        mom = ys[0] if ys else np.zeros(grid.K + 1)
+        trace.append(potential_value(spec, m, ctx.dt, ys=ys), eps, rho, mom,
                      time.perf_counter() - start)
         m = convex_combine(m, br.family, rho)
         iterations += 1
 
     if not converged:
-        _, m, br = best
-        eps = best[0]
+        eps, m, br, ys = best
 
     return FixedPointResult(
         m_star=m,
@@ -259,7 +276,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         iterations=iterations,
         converged=converged,
         exploitability=float(eps),
-        potential=potential_value(spec, m, ctx.dt),
+        potential=potential_value(spec, m, ctx.dt, ys=ys),
         value=value_at_initial(br.value_fn, ctx.m0),
         pair_value=pair(br.f_grid, m, ctx.dt),
         ledger=measure_ledger(m, ctx.m0, ctx.transition),

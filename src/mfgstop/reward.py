@@ -6,6 +6,12 @@ Each fbar carries a closed-form antiderivative Fbar in y, which makes
 F(m) = sum_i integral of Fbar_i(t, <g_i, m_t>) dt + <h, m> an exact
 potential: its directional derivative along m' - m is the pairing of
 f(., m) against m' - m.
+
+F depends on m only through the moment paths y_i(t) = <g_i, m_t> and the
+pairing <h, m>, both linear in m.  Callers that already hold the paths
+pass them in (``ys=``), and ``segment_potential`` evaluates F along a
+segment from the paths of its two ends, at O(K) per point instead of a
+full (K+1, J) family and its moments.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ __all__ = [
     "RewardSpec",
     "evaluate_reward",
     "antimonotonicity_check",
+    "moment_paths",
     "potential_value",
+    "segment_potential",
     "directional_gain",
 ]
 
@@ -161,6 +169,8 @@ class RewardSpec:
         h = self.h
         if isinstance(h, np.ndarray) and h.shape != grid.shape:
             raise ShapeMismatch(f"h grid {h.shape}, expected {grid.shape}")
+        if h is not None and not np.all(np.isfinite(self.h_grid(grid))):
+            raise ValidationError("uncoupled reward h is not finite on the grid")
         return replace(self, grid=grid, y_max=tuple(bounds))
 
     def h_grid(self, grid: SpaceTimeGrid) -> np.ndarray | None:
@@ -180,7 +190,9 @@ class RewardSpec:
 _Y_SLACK = 1e-9
 
 
-def _moment_paths(spec: RewardSpec, m: MeasureFamily) -> list[np.ndarray]:
+def moment_paths(spec: RewardSpec, m: MeasureFamily) -> list[np.ndarray]:
+    """The aggregate paths y_i = <g_i, m_t>, one per term, checked
+    against the spec's admissible range."""
     ys = []
     for i, (fbar, g) in enumerate(spec.terms):
         y = moment(m, g).values
@@ -195,13 +207,24 @@ def _moment_paths(spec: RewardSpec, m: MeasureFamily) -> list[np.ndarray]:
     return ys
 
 
-def evaluate_reward(spec: RewardSpec, m: MeasureFamily) -> np.ndarray:
-    """Materialize f(t_k, x_j, m) on the grid for a given family."""
+def _grid_of(spec: RewardSpec, m: MeasureFamily, who: str) -> SpaceTimeGrid:
     grid = m.grid if m.grid is not None else spec.grid
     if grid is None:
-        raise ValidationError("evaluate_reward needs a grid")
+        raise ValidationError(f"{who} needs a grid")
+    return grid
+
+
+def evaluate_reward(spec: RewardSpec, m: MeasureFamily,
+                    ys: list[np.ndarray] | None = None) -> np.ndarray:
+    """Materialize f(t_k, x_j, m) on the grid for a given family.
+
+    ys, if given, must be ``moment_paths(spec, m)``.
+    """
+    grid = _grid_of(spec, m, "evaluate_reward")
+    if ys is None:
+        ys = moment_paths(spec, m)
     f = np.zeros(grid.shape)
-    for (fbar, g), y in zip(spec.terms, _moment_paths(spec, m)):
+    for (fbar, g), y in zip(spec.terms, ys):
         f += np.outer(fbar.f_bar(grid.t, y), g(grid.x))
     h = spec.h_grid(grid)
     if h is not None:
@@ -231,33 +254,82 @@ def antimonotonicity_check(spec: RewardSpec, samples: int = 200,
     return True, None
 
 
-def potential_value(spec: RewardSpec, m: MeasureFamily, dt: float) -> float:
-    """F(m): time integral of the antiderivatives plus the linear h part.
-
-    Uses the same left-endpoint rule as the pairing, so the chain rule
-    F'(m)[d] = pair(f(., m), d) holds exactly on the grid.
-    """
-    grid = m.grid if m.grid is not None else spec.grid
-    if grid is None:
-        raise ValidationError("potential_value needs a grid")
-    K = m.K
-    total = 0.0
-    for (fbar, g), y in zip(spec.terms, _moment_paths(spec, m)):
-        total += dt * float(np.sum(fbar.F_bar(grid.t[:K], y[:K])))
+def _h_pairing(spec: RewardSpec, grid: SpaceTimeGrid, m: MeasureFamily,
+               dt: float) -> float | None:
     h = spec.h_grid(grid)
-    if h is not None:
-        total += dt * float(np.sum(h[:K] * m.masses[:K]))
+    if h is None:
+        return None
+    K = m.K
+    return dt * float(np.sum(h[:K] * m.masses[:K]))
+
+
+def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, h_part: float | None,
+                        dt: float) -> float:
+    """F from the paths' first K entries t = t[:K] and <h, m> (None if no h)."""
+    total = 0.0
+    for (fbar, g), y in zip(spec.terms, ys):
+        total += dt * float(np.sum(fbar.F_bar(t, y)))
+    if h_part is not None:
+        total += h_part
     return total
 
 
-def directional_gain(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamily,
-                     dt: float) -> float:
-    """dF/drho at rho = 0 along m + rho (m_target - m).
+def potential_value(spec: RewardSpec, m: MeasureFamily, dt: float,
+                    ys: list[np.ndarray] | None = None) -> float:
+    """F(m): time integral of the antiderivatives plus the linear h part.
 
-    Equals pair(f(., m), m_target - m) by the potential property.
+    Uses the same left-endpoint rule as the pairing, so the chain rule
+    F'(m)[d] = pair(f(., m), d) holds exactly on the grid.  ys, if
+    given, must be ``moment_paths(spec, m)``.
+    """
+    grid = _grid_of(spec, m, "potential_value")
+    if ys is None:
+        ys = moment_paths(spec, m)
+    K = m.K
+    return _potential_of_paths(spec, grid.t[:K], [y[:K] for y in ys],
+                               _h_pairing(spec, grid, m, dt), dt)
+
+
+def segment_potential(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamily,
+                      dt: float, ys: list[np.ndarray] | None = None):
+    """rho -> F(m + rho (m_target - m)), evaluated on moment paths.
+
+    The moment paths and <h, .> are linear in the family, so the point
+    at rho has paths (1 - rho) y + rho y_target and h pairing
+    (1 - rho) H + rho H_target: each evaluation costs O(K) once both
+    ends are known.  The interpolated paths are convex combinations of
+    two range-checked paths, so they stay in range too.  ys, if given,
+    must be ``moment_paths(spec, m)``.
     """
     if m.masses.shape != m_target.masses.shape:
         raise ShapeMismatch("families must share a shape")
-    f = evaluate_reward(spec, m)
+    grid = _grid_of(spec, m, "segment_potential")
+    if ys is None:
+        ys = moment_paths(spec, m)
+    K = m.K
+    t = grid.t[:K]
+    ends = [(y[:K], y_target[:K]) for y, y_target in zip(ys, moment_paths(spec, m_target))]
+    h0 = _h_pairing(spec, grid, m, dt)
+    h1 = _h_pairing(spec, grid, m_target, dt)
+
+    def phi(rho: float) -> float:
+        paths = [(1.0 - rho) * y + rho * y_target for y, y_target in ends]
+        h_part = None if h0 is None else (1.0 - rho) * h0 + rho * h1
+        return _potential_of_paths(spec, t, paths, h_part, dt)
+
+    return phi
+
+
+def directional_gain(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamily,
+                     dt: float, f: np.ndarray | None = None) -> float:
+    """dF/drho at rho = 0 along m + rho (m_target - m).
+
+    Equals pair(f(., m), m_target - m) by the potential property.  f, if
+    given, must be ``evaluate_reward(spec, m)``.
+    """
+    if m.masses.shape != m_target.masses.shape:
+        raise ShapeMismatch("families must share a shape")
+    if f is None:
+        f = evaluate_reward(spec, m)
     K = m.K
     return float(dt * np.sum(f[:K] * (m_target.masses[:K] - m.masses[:K])))
