@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import NonConcaveDetected, SolverError, ValidationError
 from .forward import MassLedger, measure_ledger, stopped_forward_measure
-# moment is not called here any more, but perfbench/tracer.py patches it
-# in this namespace, so it stays importable from it
+# perfbench/tracer.py patches moment in this namespace, so it stays imported
 from .measures import MeasureFamily, convex_combine, moment, pair  # noqa: F401
 from .model_core import (
     DiffusionModel,
@@ -250,7 +249,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         eps = pair(br.f_grid, br.family, ctx.dt) - pair(br.f_grid, m, ctx.dt)
         if not np.isfinite(eps):
             raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
-                              "the reward or the value function is not finite")
+                              "the reward or its pairing is not finite")
         if best is None or eps < best[0]:
             best = (eps, m, br, ys)
         if eps <= eps_tol:

@@ -255,23 +255,22 @@ def antimonotonicity_check(spec: RewardSpec, samples: int = 200,
 
 
 def _h_pairing(spec: RewardSpec, grid: SpaceTimeGrid, m: MeasureFamily,
-               dt: float) -> float | None:
+               dt: float) -> float:
     h = spec.h_grid(grid)
     if h is None:
-        return None
+        return 0.0
     K = m.K
     return dt * float(np.sum(h[:K] * m.masses[:K]))
 
 
-def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, h_part: float | None,
+def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, h_part: float,
                         dt: float) -> float:
-    """F from the paths' first K entries t = t[:K] and <h, m> (None if no h)."""
+    """F from the moment paths cut to their first K entries (t is t[:K])
+    and the h pairing."""
     total = 0.0
-    for (fbar, g), y in zip(spec.terms, ys):
+    for (fbar, _), y in zip(spec.terms, ys):
         total += dt * float(np.sum(fbar.F_bar(t, y)))
-    if h_part is not None:
-        total += h_part
-    return total
+    return total + h_part
 
 
 def potential_value(spec: RewardSpec, m: MeasureFamily, dt: float,
@@ -314,8 +313,7 @@ def segment_potential(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamil
 
     def phi(rho: float) -> float:
         paths = [(1.0 - rho) * y + rho * y_target for y, y_target in ends]
-        h_part = None if h0 is None else (1.0 - rho) * h0 + rho * h1
-        return _potential_of_paths(spec, t, paths, h_part, dt)
+        return _potential_of_paths(spec, t, paths, (1.0 - rho) * h0 + rho * h1, dt)
 
     return phi
 

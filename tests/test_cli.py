@@ -475,6 +475,28 @@ def test_shipped_congestion_config(tmp_path, capsys):
     assert "all checks passed" in text
 
 
+def test_non_finite_h_exits_3(tmp_path):
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    bad = text.replace("[algorithm]", "h.kind = constant\nh.params = nan\n\n[algorithm]")
+    assert bad != text
+    cfg = _cfg(tmp_path, bad)
+    assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+
+
+def test_overflowing_exploitability_exits_4(tmp_path):
+    # a finite reward of 1e308 overflows the pairing: the solver refuses
+    # the infinite exploitability instead of iterating on it
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    bad = text.replace("term1.fbar.params = 1.0, 2.0", "term1.fbar.params = 1e308, 0.0")
+    assert bad != text
+    cfg = _cfg(tmp_path, bad)
+    with np.errstate(over="ignore"):
+        code = main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 4
+
+
 # ----------------------------------------------------------------------
 # console script
 

@@ -10,15 +10,20 @@ line search) and the small dense LP (checks exploitability).
 import numpy as np
 import pytest
 
+import mfgstop.reward
 from mfgstop import (
     CoefficientFn,
+    DiffusionModel,
     FBarFn,
+    InitialMeasure,
     MeasureFamily,
     ModelContext,
     ProductField,
     RewardSpec,
     all_continue_measure,
     best_response,
+    build_grid,
+    build_transition_operator,
     convex_combine,
     evaluate_reward,
     exploitability,
@@ -30,9 +35,10 @@ from mfgstop import (
     potential_value,
     value_at_initial,
 )
-from mfgstop.errors import NonConcaveDetected
+from mfgstop.errors import NonConcaveDetected, SolverError
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.obstacle import complementarity_report
+from mfgstop.reward import segment_potential
 
 from conftest import congestion_instance, make_instance
 
@@ -42,6 +48,27 @@ def _decoupled_spec(grid, m0, a=0.7):
     return RewardSpec(
         terms=((FBarFn("linear", (a, 0.0)), CoefficientFn.affine(0.3, 0.5)),),
     ).validated(grid, m0)
+
+
+def _curved_instance(fbar, h, n=30, sigma_time=None):
+    """One-term crowding game with a non-linear fbar and an uncoupled h;
+    sigma_time makes the volatility, and so the operator, time-dependent."""
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=n, J=n)
+    model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.0)),
+                           sigma=ProductField(CoefficientFn.constant(0.5), time=sigma_time))
+    P = build_transition_operator(model, grid)
+    m0 = InitialMeasure.uniform(grid)
+    spec = RewardSpec(terms=((fbar, CoefficientFn.constant(1.0)),), h=h).validated(grid, m0)
+    ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
+    return grid, P, m0, spec, ctx
+
+
+CURVED = {
+    "exponential": (FBarFn("exponential", (1.0, 2.0)),
+                    ProductField(CoefficientFn.affine(-0.6, 0.2))),
+    "saturating": (FBarFn("saturating", (1.0, -0.7)),
+                   ProductField(CoefficientFn.affine(-0.05, 0.1))),
+}
 
 
 def _golden_section(phi, lo=0.0, hi=1.0, width=1e-12):
@@ -125,6 +152,34 @@ def test_line_search_interior_matches_golden_section_oracle():
 
     rho_oracle = _golden_section(phi)
     assert rho == pytest.approx(rho_oracle, abs=1e-7)
+    best_on_grid = max(phi(r) for r in np.linspace(0.0, 1.0, 101))
+    assert phi(rho) >= best_on_grid - 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED))
+def test_segment_potential_matches_potential_of_combined_family(kind):
+    grid, P, m0, spec, ctx = _curved_instance(*CURVED[kind])
+    rng = np.random.default_rng(37)
+    for m in (all_continue_measure(m0, P), random_admissible_measure(P, m0, grid, rng)):
+        m_tilde = best_response(spec, m, ctx).family
+        phi = segment_potential(spec, m, m_tilde, grid.dt)
+        for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
+            want = potential_value(spec, convex_combine(m, m_tilde, rho), grid.dt)
+            assert abs(phi(rho) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_line_search_exponential_matches_golden_section_oracle():
+    grid, P, m0, spec, ctx = _curved_instance(*CURVED["exponential"])
+    m = all_continue_measure(m0, P)
+    m_tilde = best_response(spec, m, ctx).family
+
+    rho = line_search(spec, m, m_tilde, grid.dt)
+    assert 0.01 < rho < 0.99
+
+    def phi(r):
+        return potential_value(spec, convex_combine(m, m_tilde, r), grid.dt)
+
+    assert rho == pytest.approx(_golden_section(phi), abs=1e-7)
     best_on_grid = max(phi(r) for r in np.linspace(0.0, 1.0, 101))
     assert phi(rho) >= best_on_grid - 1e-12
 
@@ -295,3 +350,51 @@ def test_equilibrium_complementarity(congestion_solution):
     rep = complementarity_report(res.v_star, res.f_star, res.m_star, P, grid.dt)
     assert rep.stop_region_integral <= 1e-7
     assert rep.continuation_residual <= 1e-7
+
+
+def _count_moment_calls(monkeypatch):
+    calls = []
+    real = mfgstop.reward.moment
+
+    def counted(m, g):
+        calls.append(g)
+        return real(m, g)
+
+    monkeypatch.setattr(mfgstop.reward, "moment", counted)
+    return calls
+
+
+def test_fixed_point_computes_each_iterates_moments_once(monkeypatch):
+    # one moment per term for each iterate, plus the final iterate
+    grid, model, P, m0, spec, ctx = congestion_instance(J=40, K=40)
+    calls = _count_moment_calls(monkeypatch)
+    res = fixed_point_solve(spec, ctx, eps_tol=1e-6)
+    assert res.converged and res.iterations >= 5
+    assert len(calls) <= (res.iterations + 2) * len(spec.terms)
+
+
+def test_golden_section_moments_per_iteration_and_repeatability(monkeypatch):
+    # a non-linear coupling adds the moments of the best response: the
+    # golden section itself runs on moment paths
+    fbar = FBarFn("exponential", (1.0, 2.0))
+    h = ProductField(CoefficientFn.constant(-0.5))
+    grid, P, m0, spec, ctx = _curved_instance(
+        fbar, h, n=20, sigma_time=CoefficientFn.affine(1.0, 0.5))
+    calls = _count_moment_calls(monkeypatch)
+    first = fixed_point_solve(spec, ctx, eps_tol=1e-8)
+    assert first.converged and first.iterations >= 5
+    assert len(calls) <= (2 * first.iterations + 2) * len(spec.terms)
+    second = fixed_point_solve(spec, ctx, eps_tol=1e-8)
+    np.testing.assert_array_equal(first.m_star.masses, second.m_star.masses)
+    np.testing.assert_array_equal(np.asarray(first.trace.rho),
+                                  np.asarray(second.trace.rho))
+
+
+def test_fixed_point_refuses_non_finite_exploitability():
+    # every reward is finite, but their pairing with the best response
+    # overflows to inf
+    grid, model, P, m0 = make_instance(K=100, J=100)
+    ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
+    spec = _decoupled_spec(grid, m0, a=1e308)
+    with np.errstate(over="ignore"), pytest.raises(SolverError):
+        fixed_point_solve(spec, ctx, max_iters=3)

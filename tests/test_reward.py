@@ -314,6 +314,19 @@ def test_spec_rejects_bad_h_shape():
         ).validated(grid, m0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_h(bad):
+    grid, model, P, m0 = make_instance()
+    term = (FBarFn("linear", (1.0, 1.0)), CoefficientFn.constant(1.0))
+    with pytest.raises(ValidationError):
+        RewardSpec(terms=(term,),
+                   h=ProductField(CoefficientFn.constant(bad))).validated(grid, m0)
+    h = np.zeros(grid.shape)
+    h[3, 2] = bad
+    with pytest.raises(ValidationError):
+        RewardSpec(terms=(term,), h=h).validated(grid, m0)
+
+
 def test_fbar_catalog_boundaries():
     assert FBarFn("linear_decreasing", (1.0, 2.0)).kind == "linear"
     with pytest.raises(MissingAntiderivative):
