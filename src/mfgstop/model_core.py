@@ -375,50 +375,60 @@ def discretize_generator(model: DiffusionModel, grid: SpaceTimeGrid, k: int) -> 
 # ----------------------------------------------------------------------
 # transition operator
 
-_NONNEG_FUZZ = 1e-13
 _ROWSUM_TOL = 1e-12
 
 
 class TransitionSlice:
     """One-step transition P = (I - dt*A)^{-1} applied via tridiagonal solves.
 
-    A must be an upwind generator band triple (nonnegative off-diagonals,
-    row sums <= 0), which makes I - dt*A an M-matrix and hence P entrywise
-    nonnegative with row sums <= 1.  Both properties are checked
-    exhaustively on construction.  apply/apply_adjoint solve the factored
-    system; the dense matrix is materialized lazily for small oracles.
+    A must be an upwind generator band triple.  Construction certifies P
+    from the bands: A's off-diagonals are >= 0 and 1 - dt*rowsum(A) > 0,
+    so M = I - dt*A is a Z-matrix with positive row sums, hence a
+    nonsingular M-matrix, and P = M^{-1} is entrywise nonnegative (Berman
+    & Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6).
+    One solve of P 1 then holds the row sums of P to <= 1.  Every
+    comparison fails on NaN.  apply/apply_adjoint solve the factored
+    system; dense() solves against the identity on demand, for small
+    oracles, and is never kept.
     """
 
     def __init__(self, A: Tridiagonal, dt: float):
-        if dt <= 0:
+        if not dt > 0:
             raise ValidationError(f"dt must be positive, got {dt}")
         self.A = A
         self.dt = float(dt)
         self.n = A.n
+        if not (np.all(A.lower >= 0.0) and np.all(A.upper >= 0.0)):
+            raise ValidationError(
+                "generator has a negative or NaN off-diagonal; "
+                "A is not a valid absorbing generator")
+        if not np.all(1.0 - dt * A.row_sums() > 0.0):
+            raise ValidationError(
+                "I - dt*A has a row sum that is not positive; "
+                "A is not a valid absorbing generator")
         # bands of M = I - dt*A
         self._m_lower = -dt * A.lower
         self._m_diag = 1.0 - dt * A.diag
         self._m_upper = -dt * A.upper
-        self._dense = None
-        if self.n == 1:
-            if self._m_diag[0] == 0.0:
-                raise SingularSystem("1x1 step matrix is singular")
-            self._factor = None
-        elif self.n == 2:
+        if self.n == 2:
             # LAPACK's gttrf wrapper rejects n=2; Cramer is exact here
             self._det = (self._m_diag[0] * self._m_diag[1]
                          - self._m_upper[0] * self._m_lower[0])
             if self._det == 0.0:
                 raise SingularSystem("2x2 step matrix is singular")
-            self._factor = None
-        else:
+        elif self.n > 2:
             gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (self._m_diag,))
             dl, d, du, du2, ipiv, info = gttrf(self._m_lower, self._m_diag, self._m_upper)
             if info != 0:
                 raise SingularSystem(f"tridiagonal factorization failed (info={info})")
             self._factor = (dl, d, du, du2, ipiv)
             self._gttrs = gttrs
-        self._check_substochastic()
+        top = self.row_sums().max()
+        if not top <= 1.0 + _ROWSUM_TOL:
+            raise ValidationError(
+                f"transition row sum exceeds 1: {top:.17g}; "
+                "A is not a valid absorbing generator"
+            )
 
     def _solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -448,26 +458,11 @@ class TransitionSlice:
         return self._solve(m, "T")
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._solve(np.eye(self.n), "N")
-        return self._dense
+        """P as a dense n x n array, solved afresh on every call."""
+        return self._solve(np.eye(self.n), "N")
 
     def row_sums(self) -> np.ndarray:
         return self.apply(np.ones(self.n))
-
-    def _check_substochastic(self) -> None:
-        P = self.dense()
-        if P.min() < -_NONNEG_FUZZ:
-            raise ValidationError(
-                f"transition has negative entry {P.min():.3e}; "
-                "A is not a valid absorbing generator"
-            )
-        rs = P.sum(axis=1)
-        if rs.max() > 1.0 + _ROWSUM_TOL:
-            raise ValidationError(
-                f"transition row sum exceeds 1: {rs.max():.17g}; "
-                "A is not a valid absorbing generator"
-            )
 
 
 def build_transition(A: Tridiagonal, dt: float) -> TransitionSlice:
