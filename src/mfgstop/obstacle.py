@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, SolverError
 from .measures import MeasureFamily
 from .model_core import InitialMeasure, TransitionOperator
 
@@ -70,6 +70,11 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunct
     -------
     ValueFunction
         Values, stop classification, and the zero tolerance used.
+
+    Raises
+    ------
+    SolverError
+        if a value is inf or NaN (an overflowing reward).
     """
     f = np.asarray(f_grid, dtype=float)
     K, J = P.K, P.n
@@ -78,7 +83,10 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunct
     v = np.zeros((K + 1, J))
     for k in range(K - 1, -1, -1):
         v[k] = np.maximum(0.0, dt * f[k] + P.apply(k, v[k + 1]))
-    tol_zero = _TOL_ZERO_REL * (1.0 + float(np.abs(v).max()))
+    vmax = float(np.abs(v).max())
+    if not np.isfinite(vmax):
+        raise SolverError(f"value function is not finite (max |v| = {vmax})")
+    tol_zero = _TOL_ZERO_REL * (1.0 + vmax)
     return ValueFunction(values=v, stop_mask=v <= tol_zero, tol_zero=tol_zero)
 
 

@@ -53,6 +53,7 @@ class FBarFn:
     - saturating: (c, d) with c >= 0, profile c/(1 + max(y, 0)) + d
 
     The antiderivative Fbar satisfies dFbar/dy = fbar and Fbar(t, 0) = 0.
+    Parameters must be finite; validate=False skips only the sign checks.
     """
 
     KINDS = ("linear", "exponential", "saturating")
@@ -66,6 +67,8 @@ class FBarFn:
         params = tuple(float(p) for p in params)
         if len(params) != 2:
             raise ValidationError(f"{kind} needs exactly two parameters")
+        if not np.all(np.isfinite(params)):
+            raise ValidationError(f"{kind} parameters must be finite, got {params}")
         if validate:
             if kind == "linear" and params[1] < 0:
                 raise ValidationError("linear slope b must be >= 0")

@@ -497,6 +497,28 @@ def test_overflowing_exploitability_exits_4(tmp_path):
     assert code == 4
 
 
+def test_non_finite_fbar_params_exits_3(tmp_path):
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    bad = text.replace("term1.fbar.params = 1.0, 2.0", "term1.fbar.params = nan, 2.0")
+    assert bad != text
+    cfg = _cfg(tmp_path, bad)
+    assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+
+
+def test_overflowing_value_function_exits_4(tmp_path):
+    # a finite h of 1e308 overflows the backward recursion: solve-stop
+    # refuses the non-finite values instead of reporting value nan
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    bad = text.replace("[algorithm]", "h.kind = constant\nh.params = 1e308\n\n[algorithm]")
+    assert bad != text
+    cfg = _cfg(tmp_path, bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"])
+    assert code == 4
+
+
 # ----------------------------------------------------------------------
 # console script
 

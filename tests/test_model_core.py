@@ -1,5 +1,7 @@
 """Grid arithmetic, generator stencils, resolvent operators, reward folding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,60 @@ def test_time_constant_model_shares_slices():
     P2 = build_transition_operator(tdep, grid)
     assert P2.slice_at(0) is not P2.slice_at(4)
     assert not np.allclose(P2.dense(0), P2.dense(4))
+
+
+def _bands(n, lower, diag, upper):
+    return Tridiagonal(lower=np.full(n - 1, lower), diag=np.full(n, diag),
+                       upper=np.full(n - 1, upper))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_slice_rejects_negative_off_diagonal(n):
+    # rows of A still sum to < 0, so only the sign certificate can object
+    with pytest.raises(ValidationError, match="off-diagonal"):
+        build_transition(_bands(n, -0.1, -1.0, 0.5), 0.1)
+    with pytest.raises(ValidationError, match="off-diagonal"):
+        build_transition(_bands(n, 0.5, -1.0, -0.1), 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_slice_rejects_row_sums_above_one(n):
+    # every row of A sums to +0.25 or more: I - dt*A is still an
+    # M-matrix, but P creates mass
+    with pytest.raises(ValidationError, match="row sum exceeds 1"):
+        build_transition(_bands(n, 0.5, 0.25 if n == 1 else -0.25, 0.5), 0.1)
+
+
+@pytest.mark.parametrize("n, band", [(1, "diag")] + [
+    (n, band) for n in (2, 3, 7) for band in ("lower", "diag", "upper")])
+def test_slice_rejects_nan_band(n, band):
+    A = _bands(n, 0.5, -1.0, 0.5)
+    getattr(A, band)[0] = np.nan
+    with pytest.raises(ValidationError):
+        build_transition(A, 0.1)
+
+
+def test_slice_rejects_non_positive_step_row_sum():
+    # a source strong enough that I - dt*A loses its positive row sums
+    with pytest.raises(ValidationError, match="row sum"):
+        build_transition(_bands(4, 0.5, 20.0, 0.5), 0.1)
+
+
+def test_time_dependent_build_keeps_no_dense_inverses():
+    # 400 slices at J=400: a dense inverse per slice would be 512 MiB
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=400, J=400)
+    model = DiffusionModel(
+        mu=ProductField(CoefficientFn.constant(0.1)),
+        sigma=ProductField(CoefficientFn.constant(0.4),
+                           time=CoefficientFn.affine(1.0, 0.5)))
+    tracemalloc.start()
+    try:
+        P = build_transition_operator(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(P.slices) == 400
+    assert peak < 32 * 2**20
 
 
 # ----------------------------------------------------------------------

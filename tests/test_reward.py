@@ -343,6 +343,15 @@ def test_fbar_catalog_boundaries():
     assert not spec2.all_linear
 
 
+@pytest.mark.parametrize("kind", FBarFn.KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fbar_rejects_non_finite_params(kind, bad):
+    for params in ((bad, 1.0), (1.0, bad)):
+        for validate in (True, False):
+            with pytest.raises(ValidationError, match="finite"):
+                FBarFn(kind, params, validate=validate)
+
+
 def test_y_max_is_domination_bound():
     grid, model, P, m0 = make_instance(K=4, J=5)
     g = CoefficientFn.affine(0.0, 2.0)
