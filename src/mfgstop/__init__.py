@@ -20,7 +20,6 @@ from .model_core import (  # noqa: F401
     TransitionSlice,
     Tridiagonal,
     build_grid,
-    build_transition,
     build_transition_operator,
     discretize_generator,
     fold_reward,
@@ -28,7 +27,6 @@ from .model_core import (  # noqa: F401
 from .measures import (  # noqa: F401
     AdmissibilityReport,
     MeasureFamily,
-    MomentPath,
     all_continue_measure,
     convex_combine,
     is_admissible,
@@ -69,7 +67,6 @@ from .mfg import (  # noqa: F401
     IterationTrace,
     ModelContext,
     best_response,
-    exploitability,
     fixed_point_solve,
     line_search,
 )

@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .forward import (
+# perfbench/tracer.py patches measure_ledger in this namespace, so it stays imported
+from .forward import (  # noqa: F401
     fokker_planck_residual,
     measure_ledger,
     random_test_function,
@@ -39,7 +41,7 @@ from .forward import (
 )
 from .lp_oracle import test_function_audit
 from .measures import MeasureFamily, all_continue_measure, is_admissible, moment, pair
-from .mfg import ModelContext, fixed_point_solve
+from .mfg import ModelContext, best_response, fixed_point_solve
 from .model_core import (
     CoefficientFn,
     DiffusionModel,
@@ -317,43 +319,31 @@ def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray) -> str:
 
 
 def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a t,x,value CSV back into (times, nodes, (K+1, J) array)."""
+    """Parse a t,x,value CSV back into (times, nodes, (K+1, J) array).
+
+    J is the length of the first time block; blank lines are skipped.
+    """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != "t,x,value":
+                raise VerificationFailure(f"{path}: expected header t,x,value")
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except OSError as exc:
         raise VerificationFailure(f"cannot read artifact {path}: {exc}") from exc
-    if not lines or lines[0] != "t,x,value":
-        raise VerificationFailure(f"{path}: expected header t,x,value")
-    body = [ln for ln in lines[1:] if ln]
-    if not body:
+    except ValueError as exc:
+        raise VerificationFailure(f"{path}: bad row: {exc}") from exc
+    if data.size == 0:
         raise VerificationFailure(f"{path}: no data rows")
-    first_t = body[0].split(",", 1)[0]
-    J = 0
-    for ln in body:
-        if ln.split(",", 1)[0] != first_t:
-            break
-        J += 1
-    if J == 0 or len(body) % J != 0:
+    if data.shape[1] != 3:
+        raise VerificationFailure(f"{path}: rows must have 3 columns, got {data.shape[1]}")
+    later = np.flatnonzero(data[1:, 0] != data[0, 0])
+    J = int(later[0]) + 1 if later.size else len(data)
+    if len(data) % J != 0:
         raise VerificationFailure(f"{path}: ragged time blocks")
-    K1 = len(body) // J
-    vals = np.empty((K1, J))
-    times = np.empty(K1)
-    nodes = np.empty(J)
-    for r, ln in enumerate(body):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise VerificationFailure(f"{path}: bad row {ln!r}")
-        k, j = divmod(r, J)
-        try:
-            tv, xv, vv = (float(p) for p in parts)
-        except ValueError as exc:
-            raise VerificationFailure(f"{path}: bad row {ln!r}") from exc
-        if j == 0:
-            times[k] = tv
-        nodes[j] = xv if k == 0 else nodes[j]
-        vals[k, j] = vv
-    return times, nodes, vals
+    return data[::J, 0], data[:J, 1], np.ascontiguousarray(data[:, 2].reshape(-1, J))
 
 
 def _write(path: str, text: str) -> None:
@@ -397,16 +387,14 @@ def _write_ledger(out_dir: str, ledger) -> None:
 
 
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
-    f_grid = evaluate_reward(inst.spec, inst.zero_family())
-    v = solve_vi(f_grid, inst.transition, inst.grid.dt)
-    family, ledger = stopped_forward_measure(v, inst.m0, inst.transition)
-    value = value_at_initial(v, inst.m0)
-    gap = abs(value - pair(f_grid, family, inst.grid.dt))
+    br = best_response(inst.spec, inst.zero_family(), inst.ctx)
+    value = value_at_initial(br.value_fn, inst.m0)
+    gap = abs(value - pair(br.f_grid, br.family, inst.grid.dt))
 
-    _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, v.values))
-    _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, family.masses))
-    _write_ledger(out_dir, ledger)
-    summary = _write_summary(out_dir, value, 0, 0.0, gap, ledger)
+    _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, br.value_fn.values))
+    _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, br.family.masses))
+    _write_ledger(out_dir, br.ledger)
+    summary = _write_summary(out_dir, value, 0, 0.0, gap, br.ledger)
     if not quiet:
         print(f"solve-stop: value {summary['value']:.12g}, "
               f"duality gap {summary['duality_gap']:.3e}, "
@@ -433,7 +421,7 @@ def run_solve_mfg(inst: Instance, out_dir: str, quiet: bool) -> int:
     _write(os.path.join(out_dir, "trace.csv"), "\n".join(rows) + "\n")
 
     heads = ["t"] + [f"y{i + 1}" for i in range(len(inst.spec.terms))]
-    paths = [moment(result.m_star, g).values for _, g in inst.spec.terms]
+    paths = [moment(result.m_star, g) for _, g in inst.spec.terms]
     rows = [",".join(heads)]
     for k in range(inst.grid.K + 1):
         cells = [_g17(inst.grid.t[k])] + [_g17(p[k]) for p in paths]

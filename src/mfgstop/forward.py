@@ -24,6 +24,7 @@ __all__ = [
     "stopped_forward_measure",
     "measure_ledger",
     "forbidden_support",
+    "weak_form",
     "fokker_planck_residual",
     "random_test_function",
 ]
@@ -138,19 +139,28 @@ def forbidden_support(v: ValueFunction) -> np.ndarray:
     return bad
 
 
+def weak_form(m: MeasureFamily, P: TransitionOperator, u: np.ndarray,
+              m0: InitialMeasure) -> float:
+    """Weak form <u_0, m0> + sum_{k<K} dt <D_k u, m_k> of the forward
+    equation, with D_k = (P_k u_{k+1} - u_k)/dt the scheme's one-step
+    generator: the forward time difference combined with the same
+    resolvent step as the transition.
+    """
+    acc = float(u[0] @ m0.masses)
+    for k in range(m.K):
+        acc += float((P.apply(k, u[k + 1]) - u[k]) @ m.masses[k])
+    return acc
+
+
 def fokker_planck_residual(m: MeasureFamily, v: ValueFunction,
                            P: TransitionOperator, phi: np.ndarray,
                            m0: InitialMeasure) -> float:
-    """Weak-form residual of the stopped forward equation against phi.
+    """Weak-form residual |weak_form(m, P, phi, m0)| against phi.
 
-    Evaluates | sum_k <D_k phi, m_k> dt + <phi_0, m0> | where D_k is the
-    scheme's one-step generator (P_k phi_{k+1} - phi_k)/dt, i.e. the
-    forward time difference combined with the same resolvent step as the
-    transition.  For the forward measure of v this vanishes identically
-    because every mass defect sits where phi is required to vanish.
-
-    phi must be zero on the stop region, on a one-node collar around it,
-    and next to the domain boundary; violations raise SupportViolation.
+    For the forward measure of v this vanishes identically because every
+    mass defect sits where phi is required to vanish: on the stop region,
+    on a one-node collar around it, and next to the domain boundary.
+    Violations of that support raise SupportViolation.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != m.masses.shape or phi.shape != v.values.shape:
@@ -161,11 +171,7 @@ def fokker_planck_residual(m: MeasureFamily, v: ValueFunction,
         raise SupportViolation(
             f"test function is nonzero on the stop collar at {tuple(int(i) for i in worst)}"
         )
-    K = m.K
-    acc = float(phi[0] @ m0.masses)
-    for k in range(K):
-        acc += float((P.apply(k, phi[k + 1]) - phi[k]) @ m.masses[k])
-    return abs(acc)
+    return abs(weak_form(m, P, phi, m0))
 
 
 def random_test_function(v: ValueFunction, grid: SpaceTimeGrid,

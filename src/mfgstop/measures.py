@@ -22,7 +22,6 @@ from .model_core import (
 
 __all__ = [
     "MeasureFamily",
-    "MomentPath",
     "AdmissibilityReport",
     "is_admissible",
     "all_continue_measure",
@@ -76,16 +75,6 @@ class MeasureFamily:
     @classmethod
     def zeros(cls, K: int, J: int, grid: SpaceTimeGrid | None = None) -> "MeasureFamily":
         return cls(np.zeros((K + 1, J)), grid=grid, validate=False)
-
-
-@dataclass(frozen=True)
-class MomentPath:
-    """Path k -> integral of a coupling function against slice k."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -147,8 +136,8 @@ def all_continue_measure(m0: InitialMeasure, P: TransitionOperator) -> MeasureFa
     return MeasureFamily(out, grid=P.grid, validate=False)
 
 
-def moment(m: MeasureFamily, g: CoefficientFn) -> MomentPath:
-    """Integrate a coupling function against each slice of the family.
+def moment(m: MeasureFamily, g: CoefficientFn) -> np.ndarray:
+    """Integrate a coupling function against each slice, shape (K+1,).
 
     Each slice's contributions are summed by numpy's row reduction, with
     no BLAS call, so the result depends only on the masses and g and
@@ -156,7 +145,7 @@ def moment(m: MeasureFamily, g: CoefficientFn) -> MomentPath:
     """
     if m.grid is None:
         raise ValidationError("moment needs a measure family with a grid")
-    return MomentPath(np.add.reduce(m.masses * g(m.grid.x)[None, :], axis=1))
+    return np.add.reduce(m.masses * g(m.grid.x)[None, :], axis=1)
 
 
 def pair(f_grid: np.ndarray, m: MeasureFamily, dt: float) -> float:

@@ -45,7 +45,6 @@ __all__ = [
     "BestResponse",
     "best_response",
     "line_search",
-    "exploitability",
     "IterationTrace",
     "FixedPointResult",
     "fixed_point_solve",
@@ -72,17 +71,21 @@ class BestResponse:
     value_fn: ValueFunction
     f_grid: np.ndarray
     ledger: MassLedger
+    exploitability: float
 
 
 def best_response(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext,
                   ys: list[np.ndarray] | None = None) -> BestResponse:
     """Optimal stopping response to the crowd m: solve the obstacle
     problem for f(., m) and push the initial measure through its rule.
-    ys, if given, must be ``moment_paths(spec, m)``."""
+    Its exploitability is the value a single deviating agent gains by
+    playing it against m.  ys, if given, must be ``moment_paths(spec, m)``."""
     f = evaluate_reward(spec, m, ys=ys)
     v = solve_vi(f, ctx.transition, ctx.dt)
     fam, ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
-    return BestResponse(family=fam, value_fn=v, f_grid=f, ledger=ledger)
+    eps = pair(f, fam, ctx.dt) - pair(f, m, ctx.dt)
+    return BestResponse(family=fam, value_fn=v, f_grid=f, ledger=ledger,
+                        exploitability=eps)
 
 
 _CONCAVITY_SLACK = 1e-8
@@ -154,12 +157,6 @@ def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
         if v >= best_val - 1e-15 * scale:
             return r
     return rho
-
-
-def exploitability(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext) -> float:
-    """Value a single deviating agent gains by best-responding to m."""
-    br = best_response(spec, m, ctx)
-    return pair(br.f_grid, br.family, ctx.dt) - pair(br.f_grid, m, ctx.dt)
 
 
 @dataclass
@@ -246,7 +243,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
     while True:
         ys = moment_paths(spec, m)
         br = best_response(spec, m, ctx, ys=ys)
-        eps = pair(br.f_grid, br.family, ctx.dt) - pair(br.f_grid, m, ctx.dt)
+        eps = br.exploitability
         if not np.isfinite(eps):
             raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
                               "the reward or its pairing is not finite")

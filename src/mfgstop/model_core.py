@@ -37,7 +37,6 @@ __all__ = [
     "Tridiagonal",
     "discretize_generator",
     "TransitionSlice",
-    "build_transition",
     "TransitionOperator",
     "build_transition_operator",
     "InitialMeasure",
@@ -465,11 +464,6 @@ class TransitionSlice:
         return self.apply(np.ones(self.n))
 
 
-def build_transition(A: Tridiagonal, dt: float) -> TransitionSlice:
-    """Resolvent step P = (I - dt*A)^{-1} for one time step."""
-    return TransitionSlice(A, dt)
-
-
 class TransitionOperator:
     """Per-step transitions P_k, k = 0..K-1, sharing slices when possible.
 
@@ -521,9 +515,9 @@ def build_transition_operator(model: DiffusionModel, grid: SpaceTimeGrid) -> Tra
     model.validate_on_grid(grid)
     dt = grid.dt
     if model.time_constant:
-        sl = build_transition(discretize_generator(model, grid, 0), dt)
+        sl = TransitionSlice(discretize_generator(model, grid, 0), dt)
         return TransitionOperator.homogeneous(sl, grid.K, grid=grid)
-    slices = [build_transition(discretize_generator(model, grid, k), dt)
+    slices = [TransitionSlice(discretize_generator(model, grid, k), dt)
               for k in range(grid.K)]
     return TransitionOperator(slices, np.arange(grid.K), grid=grid)
 

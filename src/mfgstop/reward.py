@@ -60,8 +60,6 @@ class FBarFn:
 
     def __init__(self, kind, params, time_modulation: CoefficientFn | None = None,
                  validate: bool = True):
-        if kind == "linear_decreasing":
-            kind = "linear"
         if kind not in self.KINDS:
             raise MissingAntiderivative(f"no antiderivative catalog for kind {kind!r}")
         params = tuple(float(p) for p in params)
@@ -198,7 +196,7 @@ def moment_paths(spec: RewardSpec, m: MeasureFamily) -> list[np.ndarray]:
     against the spec's admissible range."""
     ys = []
     for i, (fbar, g) in enumerate(spec.terms):
-        y = moment(m, g).values
+        y = moment(m, g)
         if spec.y_max is not None:
             bound = spec.y_max[i] * (1.0 + _Y_SLACK)
             if np.abs(y).max() > bound:

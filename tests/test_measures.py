@@ -12,10 +12,10 @@ from mfgstop import (
     ShapeMismatch,
     Tridiagonal,
     TransitionOperator,
+    TransitionSlice,
     ValidationError,
     all_continue_measure,
     build_grid,
-    build_transition,
     build_transition_operator,
     convex_combine,
     is_admissible,
@@ -94,7 +94,7 @@ def test_all_continue_near_identity_transition():
 def test_all_continue_scalar_geometric_decay():
     c, dt, K = 0.8, 0.5, 6
     A = Tridiagonal(lower=np.zeros(0), diag=np.array([-c]), upper=np.zeros(0))
-    P = TransitionOperator.homogeneous(build_transition(A, dt), K)
+    P = TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
     m0 = InitialMeasure.from_masses([1.0])
     m = all_continue_measure(m0, P)
     p = 1.0 / (1.0 + dt * c)
@@ -147,14 +147,14 @@ def test_moment_of_ones_counts_survivors():
     grid, model, P, m0 = make_instance()
     m = all_continue_measure(m0, P)
     y = moment(m, CoefficientFn.constant(1.0))
-    assert np.allclose(y.values, m.slice_totals(), atol=1e-14)
+    assert np.allclose(y, m.slice_totals(), atol=1e-14)
 
 
 def test_moment_of_zero_measure():
     grid, model, P, m0 = make_instance()
     m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
     y = moment(m, CoefficientFn.affine(0.3, -2.0))
-    assert np.array_equal(y.values, np.zeros(grid.K + 1))
+    assert np.array_equal(y, np.zeros(grid.K + 1))
 
 
 def test_moment_two_atoms_arithmetic():
@@ -165,7 +165,7 @@ def test_moment_two_atoms_arithmetic():
     masses[:, 2] = 0.5
     m = MeasureFamily(masses, grid=grid)
     y = moment(m, CoefficientFn.affine(0.0, 1.0))
-    assert np.array_equal(y.values, np.full(3, 0.5))
+    assert np.array_equal(y, np.full(3, 0.5))
 
 
 def test_moment_requires_grid():
@@ -182,8 +182,8 @@ def test_moment_is_linear():
     m2 = random_admissible_measure(P, m0, grid, rng)
     a, b = 0.3, 1.7
     combo = MeasureFamily(a * m1.masses + b * m2.masses, grid=grid)
-    lhs = moment(combo, g).values
-    rhs = a * moment(m1, g).values + b * moment(m2, g).values
+    lhs = moment(combo, g)
+    rhs = a * moment(m1, g) + b * moment(m2, g)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_moment_matches_fsum():
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=3, J=9)
     masses = rng.random((4, 9)) * 0.1
     g = CoefficientFn.polynomial(-0.5, 2.0, 1.0)
-    y = moment(MeasureFamily(masses, grid=grid), g).values
+    y = moment(MeasureFamily(masses, grid=grid), g)
     gx = g(grid.x)
     for k in range(4):
         exact = math.fsum(float(masses[k, j] * gx[j]) for j in range(9))
@@ -214,7 +214,7 @@ def test_pair_unit_reward_identity_transition():
     # left-endpoint rule gives T * total mass
     K, J, dt = 4, 3, 0.25
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
-    P = TransitionOperator.homogeneous(build_transition(A, dt), K)
+    P = TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
     m0 = InitialMeasure.uniform(build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J))
     m = all_continue_measure(m0, P)
     val = pair(np.ones((K + 1, J)), m, dt)

@@ -26,7 +26,6 @@ from mfgstop import (
     build_transition_operator,
     convex_combine,
     evaluate_reward,
-    exploitability,
     fixed_point_solve,
     line_search,
     lp_solve_small,
@@ -229,7 +228,7 @@ def test_exploitability_equals_lp_gap():
     rng = np.random.default_rng(7)
     for _ in range(5):
         m = random_admissible_measure(P, m0, grid, rng)
-        eps = exploitability(spec, m, ctx)
+        eps = best_response(spec, m, ctx).exploitability
         assert eps >= -1e-10
         f = evaluate_reward(spec, m)
         lp = lp_solve_small(f, P, m0, grid.dt)
@@ -243,13 +242,13 @@ def test_exploitability_vanishes_at_decoupled_best_response():
     spec = _decoupled_spec(grid, m0)
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
     br = best_response(spec, zero, ctx)
-    assert exploitability(spec, br.family, ctx) <= 1e-12
+    assert best_response(spec, br.family, ctx).exploitability <= 1e-12
 
 
 def test_empty_crowd_is_exploitable_when_stopping_pays():
     grid, model, P, m0, spec, ctx = congestion_instance(J=20, K=20)
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    assert exploitability(spec, zero, ctx) > 0.01
+    assert best_response(spec, zero, ctx).exploitability > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +310,8 @@ def test_fixed_point_agrees_across_initializations(congestion_solution):
     assert abs(other.value - base.value) <= 1e-6
 
     g = CoefficientFn.constant(1.0)
-    y_a = moment(base.m_star, g).values
-    y_b = moment(other.m_star, g).values
+    y_a = moment(base.m_star, g)
+    y_b = moment(other.m_star, g)
     assert ctx.grid.dt * np.abs(y_a - y_b).sum() <= 1e-4
 
 
@@ -324,7 +323,7 @@ def test_fixed_point_budget_exhaustion_returns_best_iterate():
     assert len(res.trace) == 2
     assert res.exploitability >= 0.0
     # the reported gap is the gap of the measure actually returned
-    again = exploitability(spec, res.m_star, ctx)
+    again = best_response(spec, res.m_star, ctx).exploitability
     assert again == pytest.approx(res.exploitability, abs=1e-13, rel=1e-12)
 
 

@@ -16,10 +16,10 @@ from mfgstop import (
     NonPositiveHorizon,
     ProductField,
     ShapeMismatch,
+    TransitionSlice,
     Tridiagonal,
     ValidationError,
     build_grid,
-    build_transition,
     build_transition_operator,
     discretize_generator,
     fold_reward,
@@ -191,7 +191,7 @@ def test_resolvent_near_identity():
 def test_scalar_resolvent():
     c, dt = 0.7, 0.25
     A = Tridiagonal(lower=np.zeros(0), diag=np.array([-c]), upper=np.zeros(0))
-    slice_ = build_transition(A, dt)
+    slice_ = TransitionSlice(A, dt)
     dense = slice_.dense()
     assert dense.shape == (1, 1)
     assert dense[0, 0] == pytest.approx(1.0 / (1.0 + dt * c), rel=1e-15)
@@ -203,7 +203,7 @@ def test_two_node_resolvent():
     grid = build_grid(T=1.0, a=0.0, b=0.3, K=2, J=2)
     model = constant_model(0.3, 0.4)
     A = discretize_generator(model, grid, 0)
-    slice_ = build_transition(A, grid.dt)
+    slice_ = TransitionSlice(A, grid.dt)
     M = np.eye(2) - grid.dt * A.toarray()
     want = np.linalg.solve(M, np.eye(2))
     np.testing.assert_allclose(slice_.dense(), want, atol=1e-14)
@@ -219,7 +219,7 @@ def test_resolvent_matches_dense_solve():
     model = constant_model(0.0, np.sqrt(2.0))
     A = discretize_generator(model, grid, 0)
     dt = 0.1
-    slice_ = build_transition(A, dt)
+    slice_ = TransitionSlice(A, dt)
     M = np.eye(3) - dt * A.toarray()
     expected = np.linalg.solve(M, np.eye(3))
     got = slice_.dense()
@@ -280,9 +280,9 @@ def _bands(n, lower, diag, upper):
 def test_slice_rejects_negative_off_diagonal(n):
     # rows of A still sum to < 0, so only the sign certificate can object
     with pytest.raises(ValidationError, match="off-diagonal"):
-        build_transition(_bands(n, -0.1, -1.0, 0.5), 0.1)
+        TransitionSlice(_bands(n, -0.1, -1.0, 0.5), 0.1)
     with pytest.raises(ValidationError, match="off-diagonal"):
-        build_transition(_bands(n, 0.5, -1.0, -0.1), 0.1)
+        TransitionSlice(_bands(n, 0.5, -1.0, -0.1), 0.1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -290,7 +290,7 @@ def test_slice_rejects_row_sums_above_one(n):
     # every row of A sums to +0.25 or more: I - dt*A is still an
     # M-matrix, but P creates mass
     with pytest.raises(ValidationError, match="row sum exceeds 1"):
-        build_transition(_bands(n, 0.5, 0.25 if n == 1 else -0.25, 0.5), 0.1)
+        TransitionSlice(_bands(n, 0.5, 0.25 if n == 1 else -0.25, 0.5), 0.1)
 
 
 @pytest.mark.parametrize("n, band", [(1, "diag")] + [
@@ -299,13 +299,13 @@ def test_slice_rejects_nan_band(n, band):
     A = _bands(n, 0.5, -1.0, 0.5)
     getattr(A, band)[0] = np.nan
     with pytest.raises(ValidationError):
-        build_transition(A, 0.1)
+        TransitionSlice(A, 0.1)
 
 
 def test_slice_rejects_non_positive_step_row_sum():
     # a source strong enough that I - dt*A loses its positive row sums
     with pytest.raises(ValidationError, match="row sum"):
-        build_transition(_bands(4, 0.5, 20.0, 0.5), 0.1)
+        TransitionSlice(_bands(4, 0.5, 20.0, 0.5), 0.1)
 
 
 def test_time_dependent_build_keeps_no_dense_inverses():

@@ -9,9 +9,9 @@ from mfgstop import (
     ShapeMismatch,
     Tridiagonal,
     TransitionOperator,
+    TransitionSlice,
     all_continue_measure,
     build_grid,
-    build_transition,
     complementarity_report,
     pair,
     solve_vi,
@@ -24,7 +24,7 @@ from conftest import make_instance, random_instance
 
 def _identity_operator(K, J, dt):
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
-    return TransitionOperator.homogeneous(build_transition(A, dt), K)
+    return TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
 
 
 # ----------------------------------------------------------------------
