@@ -41,7 +41,7 @@ from .forward import (  # noqa: F401
 )
 from .lp_oracle import test_function_audit
 from .measures import MeasureFamily, all_continue_measure, is_admissible, moment, pair
-from .mfg import ModelContext, best_response, fixed_point_solve
+from .mfg import ModelContext, best_response, check_budget, fixed_point_solve
 from .model_core import (
     CoefficientFn,
     DiffusionModel,
@@ -288,6 +288,7 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     asec = cfg["algorithm"] if cfg.has_section("algorithm") else {}
     max_iters = _number(asec, "max_iters", "algorithm", int, default=500)
     eps_tol = _number(asec, "eps_tol", "algorithm", float, default=1e-6)
+    check_budget(max_iters, eps_tol)
     m_init = asec.get("m_init", "zero").strip()
     if m_init not in ("zero", "all_continue"):
         raise ValidationError(f"[algorithm] m_init must be zero or all_continue, got {m_init!r}")

@@ -47,6 +47,7 @@ __all__ = [
     "line_search",
     "IterationTrace",
     "FixedPointResult",
+    "check_budget",
     "fixed_point_solve",
 ]
 
@@ -199,6 +200,15 @@ class FixedPointResult:
         return abs(self.value - self.pair_value)
 
 
+def check_budget(max_iters, eps_tol) -> None:
+    """Raise ValidationError unless max_iters >= 0 and eps_tol is finite
+    and >= 0; each comparison fails on NaN."""
+    if not max_iters >= 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
+    if not (np.isfinite(eps_tol) and eps_tol >= 0):
+        raise ValidationError(f"eps_tol must be finite and >= 0, got {eps_tol}")
+
+
 def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
                       m_init: MeasureFamily | None = None,
                       max_iters: int = 500, eps_tol: float = 1e-6) -> FixedPointResult:
@@ -226,6 +236,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         Final family with its value function, reward, trace, ledger,
         and duality diagnostics.
     """
+    check_budget(max_iters, eps_tol)
     grid = ctx.grid
     if m_init is None:
         m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)

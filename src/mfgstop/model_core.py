@@ -140,8 +140,8 @@ class CoefficientFn:
             if nodes is None or len(nodes) != len(params) or len(params) < 2:
                 raise ValidationError("tabulated needs matching nodes and values")
             nodes = np.asarray(nodes, dtype=float)
-            if np.any(np.diff(nodes) <= 0):
-                raise ValidationError("tabulated nodes must be strictly increasing")
+            if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+                raise ValidationError("tabulated nodes must be finite and strictly increasing")
         self.kind = kind
         self.params = params
         self.nodes = nodes
@@ -539,6 +539,8 @@ class InitialMeasure:
         object.__setattr__(self, "masses", m)
         if m.ndim != 1:
             raise ShapeMismatch("initial measure must be a vector")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("initial measure has non-finite mass")
         if m.min() < 0:
             raise ValidationError(f"initial measure has negative mass {m.min():.3e}")
         if abs(m.sum() - 1.0) > _MASS_TOL:

@@ -153,8 +153,8 @@ class RewardSpec:
             if not fbar.is_nonincreasing():
                 raise ValidationError(f"{fbar!r} is not nonincreasing in y")
             th = fbar.theta(grid.t)
-            if np.any(th < 0):
-                raise ValidationError("time modulation must be nonnegative")
+            if not (np.all(np.isfinite(th)) and np.all(th >= 0)):
+                raise ValidationError("time modulation must be finite and nonnegative")
             gv = g(grid.x)
             if not np.all(np.isfinite(gv)):
                 raise ValidationError("coupling g is not finite on the grid")

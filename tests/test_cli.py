@@ -9,11 +9,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from mfgstop.cli import grid_csv_text, main, read_grid_csv
+from mfgstop.errors import VerificationFailure
 
 DECOUPLED = """\
 [grid]
@@ -248,6 +250,68 @@ def test_verify_detects_tampered_measure(tmp_path, capsys):
     code, text = _run(["verify", "--config", cfg, "--out", str(out)], capsys)
     assert code == 5
     assert "FAIL" in text
+
+
+def _malformed(lines):
+    """Each malformed variant of a measure CSV, given its lines."""
+    head, body = lines[0], lines[1:]
+    t, x, _ = body[0].split(",")
+    return {
+        "empty": "",
+        "header_only": head + "\n",
+        "wrong_header": "\n".join(["t,x,val"] + body) + "\n",
+        "short_row": "\n".join([head, f"{t},{x}"] + body[1:]) + "\n",
+        "long_row": "\n".join([head, body[0] + ",0"] + body[1:]) + "\n",
+        "non_numeric": "\n".join([head, f"{t},{x},abc"] + body[1:]) + "\n",
+        "ragged_blocks": "\n".join([head, body[0]] + body[2:]) + "\n",
+        "hash_line": "\n".join([head, "# comment"] + body) + "\n",
+    }
+
+
+@pytest.fixture(scope="module")
+def decoupled_artifacts(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("decoupled")
+    cfg = _cfg(tmp_path, DECOUPLED)
+    out = tmp_path / "out"
+    assert main(["solve-mfg", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return cfg, out
+
+
+@pytest.mark.parametrize("case", ["empty", "header_only", "wrong_header", "short_row",
+                                  "long_row", "non_numeric", "ragged_blocks", "hash_line"])
+def test_malformed_measure_csv_fails_verification(decoupled_artifacts, tmp_path, case):
+    cfg, out = decoupled_artifacts
+    lines = (out / "measure.csv").read_text().splitlines()
+    path = tmp_path / "measure.csv"
+    path.write_text(_malformed(lines)[case], encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VerificationFailure):
+            read_grid_csv(str(path))
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("trace.csv", "summary.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    (bad / "measure.csv").write_bytes(path.read_bytes())
+    assert main(["verify", "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+    assert main(["mc-check", "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+
+
+@pytest.mark.parametrize("variant", ["blank_line", "crlf", "no_final_newline"])
+def test_measure_csv_reader_tolerates_layout(decoupled_artifacts, tmp_path, variant):
+    _, out = decoupled_artifacts
+    text = (out / "measure.csv").read_text()
+    want = read_grid_csv(str(out / "measure.csv"))
+    lines = text.splitlines()
+    changed = {
+        "blank_line": "\n".join(lines[:3] + [""] + lines[3:]) + "\n",
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "no_final_newline": "\n".join(lines),
+    }[variant]
+    path = tmp_path / "measure.csv"
+    path.write_bytes(changed.encode("utf-8"))
+    for got, ref in zip(read_grid_csv(str(path)), want):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_verify_missing_artifacts_fails(tmp_path):
@@ -517,6 +581,38 @@ def test_overflowing_value_function_exits_4(tmp_path):
         code = main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"])
     assert code == 4
+
+
+@pytest.mark.parametrize("key, bad", [("eps_tol", "nan"), ("eps_tol", "-1"),
+                                      ("eps_tol", "inf"), ("max_iters", "-5")])
+def test_bad_budget_exits_3(tmp_path, key, bad):
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    old = {"eps_tol": "eps_tol = 1e-9", "max_iters": "max_iters = 500"}[key]
+    cfg = _cfg(tmp_path, text.replace(old, f"{key} = {bad}"))
+    assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("command", ["solve-stop", "solve-mfg"])
+def test_non_finite_tabulated_initial_exits_3(tmp_path, command):
+    masses = np.ones(100)
+    masses[3] = np.nan
+    np.savetxt(tmp_path / "masses.txt", masses)
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    cfg = _cfg(tmp_path, text.replace("kind = uniform", "kind = tabulated(masses.txt)"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("nodes, values", [("0.0, 1.0", "nan, 1.0"), ("0.0, nan", "1.0, 1.0")])
+def test_non_finite_tabulated_theta_exits_3(tmp_path, nodes, values):
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    theta = (f"term1.theta.kind = tabulated\nterm1.theta.nodes = {nodes}\n"
+             f"term1.theta.values = {values}\n")
+    bad = text.replace("term1.g.kind", theta + "term1.g.kind")
+    assert bad != text
+    cfg = _cfg(tmp_path, bad)
+    assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from mfgstop import (
     potential_value,
     value_at_initial,
 )
-from mfgstop.errors import NonConcaveDetected, SolverError
+from mfgstop.errors import NonConcaveDetected, SolverError, ValidationError
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.obstacle import complementarity_report
 from mfgstop.reward import segment_potential
@@ -397,3 +397,13 @@ def test_fixed_point_refuses_non_finite_exploitability():
     spec = _decoupled_spec(grid, m0, a=1e308)
     with np.errstate(over="ignore"), pytest.raises(SolverError):
         fixed_point_solve(spec, ctx, max_iters=3)
+
+
+@pytest.mark.parametrize("max_iters, eps_tol", [
+    (10, float("nan")), (10, -1.0), (10, float("inf")), (-5, 1e-9), (float("nan"), 1e-9)])
+def test_fixed_point_rejects_bad_budget(max_iters, eps_tol):
+    grid, model, P, m0 = make_instance()
+    ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
+    spec = _decoupled_spec(grid, m0)
+    with pytest.raises(ValidationError):
+        fixed_point_solve(spec, ctx, max_iters=max_iters, eps_tol=eps_tol)

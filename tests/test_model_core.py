@@ -102,6 +102,15 @@ def test_tabulated_interpolates_and_refuses_derivatives():
         CoefficientFn.tabulated([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_tabulated_rejects_non_finite_nodes(bad, where):
+    nodes = [0.0, 1.0, 2.0]
+    nodes[where] = bad
+    with pytest.raises(ValidationError):
+        CoefficientFn.tabulated(nodes, [0.0, 1.0, 2.0])
+
+
 def test_coefficient_rejects_bad_params():
     with pytest.raises(ValidationError):
         CoefficientFn.gaussian_bump(1.0, 0.0, 0.0)
@@ -341,6 +350,13 @@ def test_initial_measure_uniform_and_atom():
         InitialMeasure.from_masses([0.5, 0.6])
     with pytest.raises(ValidationError):
         InitialMeasure.from_masses([-0.1, 1.1])
+
+
+@pytest.mark.parametrize("masses", [[np.nan, 1.0], [0.5, np.nan, 0.5],
+                                    [np.inf, 1.0], [np.nan, np.nan]])
+def test_initial_measure_rejects_non_finite_mass(masses):
+    with pytest.raises(ValidationError):
+        InitialMeasure.from_masses(masses)
 
 
 # ----------------------------------------------------------------------

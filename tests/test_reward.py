@@ -291,6 +291,15 @@ def test_spec_rejects_negative_time_modulation():
         RewardSpec(terms=((fbar, CoefficientFn.constant(1.0)),)).validated(grid, m0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite_time_modulation(bad):
+    grid, model, P, m0 = make_instance()
+    theta = CoefficientFn.tabulated([0.0, 1.0], [bad, 1.0])
+    fbar = FBarFn("linear", (1.0, 1.0), time_modulation=theta)
+    with pytest.raises(ValidationError):
+        RewardSpec(terms=((fbar, CoefficientFn.constant(1.0)),)).validated(grid, m0)
+
+
 def test_spec_rejects_empty():
     grid, model, P, m0 = make_instance()
     with pytest.raises(ValidationError):
