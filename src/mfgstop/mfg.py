@@ -270,6 +270,9 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         trace.append(potential_value(spec, m, ctx.dt, ys=ys), eps, rho, mom,
                      time.perf_counter() - start)
         m = convex_combine(m, br.family, rho)
+        # release this response unless best holds it, so that the next
+        # best_response does not run with it still live (peak memory)
+        br = None
         iterations += 1
 
     if not converged:

@@ -261,6 +261,7 @@ def _malformed(lines):
         "header_only": head + "\n",
         "wrong_header": "\n".join(["t,x,val"] + body) + "\n",
         "short_row": "\n".join([head, f"{t},{x}"] + body[1:]) + "\n",
+        "all_rows_short": "\n".join([head] + [r.rsplit(",", 1)[0] for r in body]) + "\n",
         "long_row": "\n".join([head, body[0] + ",0"] + body[1:]) + "\n",
         "non_numeric": "\n".join([head, f"{t},{x},abc"] + body[1:]) + "\n",
         "ragged_blocks": "\n".join([head, body[0]] + body[2:]) + "\n",
@@ -278,7 +279,8 @@ def decoupled_artifacts(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", ["empty", "header_only", "wrong_header", "short_row",
-                                  "long_row", "non_numeric", "ragged_blocks", "hash_line"])
+                                  "all_rows_short", "long_row", "non_numeric",
+                                  "ragged_blocks", "hash_line"])
 def test_malformed_measure_csv_fails_verification(decoupled_artifacts, tmp_path, case):
     cfg, out = decoupled_artifacts
     lines = (out / "measure.csv").read_text().splitlines()
