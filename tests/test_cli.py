@@ -284,17 +284,16 @@ def decoupled_artifacts(tmp_path_factory):
 def test_malformed_measure_csv_fails_verification(decoupled_artifacts, tmp_path, case):
     cfg, out = decoupled_artifacts
     lines = (out / "measure.csv").read_text().splitlines()
-    path = tmp_path / "measure.csv"
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("trace.csv", "summary.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    path = bad / "measure.csv"
     path.write_text(_malformed(lines)[case], encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(VerificationFailure):
             read_grid_csv(str(path))
-    bad = tmp_path / "out"
-    bad.mkdir()
-    for name in ("trace.csv", "summary.json"):
-        (bad / name).write_bytes((out / name).read_bytes())
-    (bad / "measure.csv").write_bytes(path.read_bytes())
     assert main(["verify", "--config", cfg, "--out", str(bad), "--quiet"]) == 5
     assert main(["mc-check", "--config", cfg, "--out", str(bad), "--quiet"]) == 5
 
@@ -590,7 +589,9 @@ def test_overflowing_value_function_exits_4(tmp_path):
 def test_bad_budget_exits_3(tmp_path, key, bad):
     text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
     old = {"eps_tol": "eps_tol = 1e-9", "max_iters": "max_iters = 500"}[key]
-    cfg = _cfg(tmp_path, text.replace(old, f"{key} = {bad}"))
+    changed = text.replace(old, f"{key} = {bad}")
+    assert changed != text
+    cfg = _cfg(tmp_path, changed)
     assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 3
 
@@ -601,7 +602,9 @@ def test_non_finite_tabulated_initial_exits_3(tmp_path, command):
     masses[3] = np.nan
     np.savetxt(tmp_path / "masses.txt", masses)
     text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
-    cfg = _cfg(tmp_path, text.replace("kind = uniform", "kind = tabulated(masses.txt)"))
+    changed = text.replace("kind = uniform", "kind = tabulated(masses.txt)")
+    assert changed != text
+    cfg = _cfg(tmp_path, changed)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
 
