@@ -108,18 +108,13 @@ def measure_ledger(m: MeasureFamily, m0: InitialMeasure,
     convex mixing, and it reduces to the mask-based ledger on forward
     measures.
     """
-    K = P.K
     A = m.masses
-    stopped = np.empty(K + 1)
-    absorbed = np.empty(K)
-    stopped[0] = m0.total - A[0].sum()
-    for k in range(K):
-        pushed = P.apply_adjoint(k, A[k])
-        absorbed[k] = A[k].sum() - pushed.sum()
-        stopped[k + 1] = pushed.sum() - A[k + 1].sum()
-    return MassLedger(initial=m0.total, stopped_per_step=stopped,
-                      absorbed_per_step=absorbed,
-                      surviving=float(A[K].sum()))
+    totals = A.sum(axis=1)
+    pushed = P.apply_adjoint_each(A[:-1]).sum(axis=1)
+    return MassLedger(initial=m0.total,
+                      stopped_per_step=np.append(m0.total, pushed) - totals,
+                      absorbed_per_step=totals[:-1] - pushed,
+                      surviving=float(totals[-1]))
 
 
 def forbidden_support(v: ValueFunction) -> np.ndarray:
@@ -146,9 +141,10 @@ def weak_form(m: MeasureFamily, P: TransitionOperator, u: np.ndarray,
     generator: the forward time difference combined with the same
     resolvent step as the transition.
     """
+    pushed = P.apply_each(u[1:])
     acc = float(u[0] @ m0.masses)
     for k in range(m.K):
-        acc += float((P.apply(k, u[k + 1]) - u[k]) @ m.masses[k])
+        acc += float((pushed[k] - u[k]) @ m.masses[k])
     return acc
 
 

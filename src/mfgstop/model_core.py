@@ -468,6 +468,8 @@ class TransitionOperator:
     """Per-step transitions P_k, k = 0..K-1, sharing slices when possible.
 
     Time-homogeneous models store a single slice referenced by every step.
+    apply_each/apply_adjoint_each push a whole family, one row per step,
+    with one multi-column solve per distinct slice.
     """
 
     def __init__(self, slices, slice_map, grid: SpaceTimeGrid | None = None):
@@ -476,6 +478,9 @@ class TransitionOperator:
         if self.slice_map.min() < 0 or self.slice_map.max() >= len(self.slices):
             raise ValidationError("slice_map references missing slices")
         self.grid = grid
+        # (slice, the steps that use it), for the whole-family pushes
+        self._steps = [(self.slices[i], np.flatnonzero(self.slice_map == i))
+                       for i in np.unique(self.slice_map)]
 
     @classmethod
     def homogeneous(cls, slice_: TransitionSlice, K: int,
@@ -502,6 +507,23 @@ class TransitionOperator:
 
     def apply_adjoint(self, k: int, m: np.ndarray) -> np.ndarray:
         return self.slice_at(k).apply_adjoint(m)
+
+    def _each(self, rows: np.ndarray, solve) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        if rows.shape != (self.K, self.n):
+            raise ShapeMismatch(f"rows have shape {rows.shape}, expected {(self.K, self.n)}")
+        out = np.empty_like(rows)
+        for s, steps in self._steps:
+            out[steps] = solve(s, rows[steps].T).T
+        return out
+
+    def apply_each(self, rows: np.ndarray) -> np.ndarray:
+        """Row k is P_k @ rows[k], for k < K; rows has shape (K, n)."""
+        return self._each(rows, TransitionSlice.apply)
+
+    def apply_adjoint_each(self, rows: np.ndarray) -> np.ndarray:
+        """Row k is P_k^T @ rows[k], for k < K; rows has shape (K, n)."""
+        return self._each(rows, TransitionSlice.apply_adjoint)
 
     def dense(self, k: int) -> np.ndarray:
         return self.slice_at(k).dense()

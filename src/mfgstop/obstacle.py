@@ -125,20 +125,15 @@ def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
     stop = v.stop_mask
     integral = float(dt * np.sum(np.abs(f[:K]) * A[:K] * stop[:K]))
 
+    resid = np.abs(A[1:] - P.apply_adjoint_each(A[:-1]))
+    # eligible nodes: the node and both space neighbors continue at
+    # slices k and k+1; boundary-adjacent nodes are never eligible
+    # (the absorbing boundary behaves like a stop node).
     cont = v.continue_mask()
-    worst = 0.0
-    for k in range(K):
-        pushed = P.apply_adjoint(k, A[k])
-        resid = np.abs(A[k + 1] - pushed)
-        # eligible nodes: the node and both space neighbors continue at
-        # slices k and k+1; boundary-adjacent nodes are never eligible
-        # (the absorbing boundary behaves like a stop node).
-        ok = cont[k] & cont[k + 1]
-        elig = ok.copy()
-        elig[0] = elig[-1] = False
-        elig[1:-1] &= ok[:-2] & ok[2:]
-        if elig.any():
-            worst = max(worst, float(resid[elig].max()))
+    ok = cont[:-1] & cont[1:]
+    elig = np.zeros_like(ok)
+    elig[:, 1:-1] = ok[:, :-2] & ok[:, 1:-1] & ok[:, 2:]
+    worst = float(resid[elig].max()) if elig.any() else 0.0
 
     return ComplementarityReport(stop_region_integral=integral,
                                  continuation_residual=worst)

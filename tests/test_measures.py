@@ -59,6 +59,18 @@ def test_inflated_node_is_flagged(node):
     assert report.kind == ("initial_bound" if k == 0 else "chain_bound")
 
 
+def test_tied_chain_violations_report_the_first_in_row_major_order():
+    # from m_0 = 0 nothing may arrive, so each planted mass is a violation
+    # of exactly 0.25; a per-step scan with a strict > keeps the first
+    grid, model, P, m0 = make_instance()
+    m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    for k, j in [(5, 0), (3, 4), (3, 1)]:
+        m.masses[k, j] = 0.25
+    report = is_admissible(m, m0, P)
+    assert (report.where, report.kind) == ((3, 1), "chain_bound")
+    assert report.worst_violation == 0.25
+
+
 def test_negative_mass_is_flagged():
     grid, model, P, m0 = make_instance()
     m = all_continue_measure(m0, P)

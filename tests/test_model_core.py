@@ -16,6 +16,7 @@ from mfgstop import (
     NonPositiveHorizon,
     ProductField,
     ShapeMismatch,
+    TransitionOperator,
     TransitionSlice,
     Tridiagonal,
     ValidationError,
@@ -283,6 +284,41 @@ def test_time_constant_model_shares_slices():
 def _bands(n, lower, diag, upper):
     return Tridiagonal(lower=np.full(n - 1, lower), diag=np.full(n, diag),
                        upper=np.full(n - 1, upper))
+
+
+def _time_dependent_operator(K, J):
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
+    model = DiffusionModel(
+        mu=ProductField(CoefficientFn.constant(0.3)),
+        sigma=ProductField(CoefficientFn.constant(0.4),
+                           time=CoefficientFn.affine(1.0, 0.5)))
+    return build_transition_operator(model, grid)
+
+
+@pytest.mark.parametrize("P", [
+    # n = 1 and 2 take the closed forms, n >= 3 the LAPACK solve
+    TransitionOperator.homogeneous(TransitionSlice(_bands(1, 0.0, -2.0, 0.0), 0.1), 6),
+    TransitionOperator.homogeneous(TransitionSlice(_bands(2, 0.7, -2.0, 0.9), 0.1), 6),
+    TransitionOperator.homogeneous(TransitionSlice(_bands(3, 0.7, -2.0, 0.9), 0.1), 6),
+    TransitionOperator.homogeneous(TransitionSlice(_bands(50, 0.7, -2.0, 0.9), 0.1), 6),
+    _time_dependent_operator(7, 50),
+], ids=["n1", "n2", "n3", "n50", "time-dependent"])
+def test_batched_pushes_match_per_step_bitwise(P):
+    rows = np.random.default_rng(8).random((P.K, P.n))
+    each = np.array([P.apply(k, rows[k]) for k in range(P.K)])
+    each_adj = np.array([P.apply_adjoint(k, rows[k]) for k in range(P.K)])
+    assert np.array_equal(P.apply_each(rows), each)
+    assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
+
+
+def test_batched_pushes_reject_wrong_shape():
+    P = _time_dependent_operator(5, 4)
+    # a whole (K+1, n) family is not silently truncated to its first K rows
+    for shape in [(6, 4), (4, 4), (5, 3), (20,)]:
+        with pytest.raises(ShapeMismatch):
+            P.apply_each(np.zeros(shape))
+        with pytest.raises(ShapeMismatch):
+            P.apply_adjoint_each(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])

@@ -11,7 +11,17 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
+
+from mfgstop import (
+    CoefficientFn,
+    DiffusionModel,
+    ProductField,
+    TransitionSlice,
+    build_grid,
+    build_transition_operator,
+)
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,3 +49,25 @@ def test_layer_resolves_in_every_namespace(layer):
 def test_leaf_method_exists_on_transition_slice(method):
     cls = importlib.import_module("mfgstop.model_core").TransitionSlice
     assert callable(cls.__dict__[method])
+
+
+def test_batched_push_calls_each_distinct_slice_once(monkeypatch):
+    # the tracer counts and times solves at TransitionSlice.apply_adjoint,
+    # so a whole-family push must go through it, once per distinct slice
+    calls = []
+    original = TransitionSlice.apply_adjoint
+
+    def counted(self, m):
+        calls.append(self)
+        return original(self, m)
+
+    monkeypatch.setattr(TransitionSlice, "apply_adjoint", counted)
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=9, J=5)
+    sigma = CoefficientFn.constant(0.4)
+    for time, slices in [(None, 1), (CoefficientFn.affine(1.0, 0.5), 9)]:
+        model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.0)),
+                               sigma=ProductField(sigma, time=time))
+        P = build_transition_operator(model, grid)
+        calls.clear()
+        P.apply_adjoint_each(np.ones((grid.K, grid.J)))
+        assert len(calls) == len(set(map(id, calls))) == len(P.slices) == slices
