@@ -51,7 +51,6 @@ from .model_core import (
     TransitionSlice,
     build_grid,
     build_transition_operator,
-    discretize_generator,
     fold_reward,
 )
 from .montecarlo import simulate_paths
@@ -150,14 +149,13 @@ def load_config(path: str) -> configparser.ConfigParser:
 class Instance:
     """Everything a run needs, assembled from one config file."""
 
-    def __init__(self, grid, model, transition, m0, spec, rho,
+    def __init__(self, grid, model, transition, m0, spec,
                  max_iters, eps_tol, m_init, n_paths, mc_seed):
         self.grid = grid
         self.model = model
         self.transition = transition
         self.m0 = m0
         self.spec = spec
-        self.rho = rho
         self.max_iters = max_iters
         self.eps_tol = eps_tol
         self.m_init = m_init
@@ -297,7 +295,7 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     n_paths = _number(mcsec, "n_paths", "mc", int, default=100000)
     mc_seed = _number(mcsec, "seed", "mc", int, default=0)
 
-    return Instance(grid, model, transition, m0, spec, rho,
+    return Instance(grid, model, transition, m0, spec,
                     max_iters, eps_tol, m_init, n_paths, mc_seed)
 
 
@@ -454,22 +452,27 @@ class _Suite:
             print(line)
 
 
-def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
-    measure_path = os.path.join(out_dir, "measure.csv")
-    is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
-    times, nodes, masses = read_grid_csv(measure_path)
+def _read_family(inst: Instance, out_dir: str) -> MeasureFamily:
+    """The family in out_dir's measure.csv, checked against the config's grid."""
+    times, nodes, masses = read_grid_csv(os.path.join(out_dir, "measure.csv"))
     grid = inst.grid
     if masses.shape != grid.shape:
         raise VerificationFailure(
             f"measure CSV shape {masses.shape} does not match config grid {grid.shape}")
     if not (np.array_equal(times, grid.t) and np.array_equal(nodes, grid.x)):
         raise VerificationFailure("measure CSV coordinates differ from config grid")
+    return MeasureFamily(masses, grid=grid, validate=False)
+
+
+def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
+    is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
+    family = _read_family(inst, out_dir)
+    grid = inst.grid
     suite = _Suite(quiet)
 
-    with open(measure_path, encoding="utf-8", newline="") as fh:
+    with open(os.path.join(out_dir, "measure.csv"), encoding="utf-8", newline="") as fh:
         on_disk = fh.read()
-    family = MeasureFamily(masses, grid=grid, validate=False)
-    same = grid_csv_text(grid, masses) == on_disk
+    same = grid_csv_text(grid, family.masses) == on_disk
     suite.check("round-trip", same,
                 "re-serialization reproduces the file bytes" if same else "bytes differ")
 
@@ -541,20 +544,20 @@ def _substepped_totals(inst: Instance, v: ValueFunction) -> np.ndarray:
     """Slice totals of v's stop rule under MC_SUBSTEPS implicit substeps per step.
 
     Sigma and mu are frozen at t_k over step k, as the simulator freezes
-    them; a time-constant model shares one substep operator.  The stop
-    rule acts at slice boundaries only, and every push is clamped at 0,
-    as in stopped_forward_measure.
+    them: substeps use step k's generator, and steps that share a slice
+    share one substep operator.  The stop rule acts at slice boundaries
+    only, and every push is clamped at 0, as in stopped_forward_measure.
     """
-    grid, model = inst.grid, inst.model
+    grid = inst.grid
     cont = v.continue_mask()
     m = inst.m0.masses * cont[0]
     totals = np.empty(grid.K + 1)
     totals[0] = m.sum()
     step = None
     for k in range(grid.K):
-        if step is None or not model.time_constant:
-            step = TransitionSlice(discretize_generator(model, grid, k),
-                                   grid.dt / MC_SUBSTEPS)
+        A = inst.transition.slice_at(k).A
+        if step is None or step.A is not A:
+            step = TransitionSlice(A, grid.dt / MC_SUBSTEPS)
         for _ in range(MC_SUBSTEPS):
             m = np.maximum(step.apply_adjoint(m), 0.0)
         m = m * cont[k + 1]
@@ -564,14 +567,8 @@ def _substepped_totals(inst: Instance, v: ValueFunction) -> np.ndarray:
 
 def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) -> int:
     grid = inst.grid
-    measure_path = os.path.join(out_dir, "measure.csv")
-    if os.path.exists(measure_path) and os.path.exists(os.path.join(out_dir, "trace.csv")):
-        _, _, masses = read_grid_csv(measure_path)
-        if masses.shape != grid.shape:
-            raise VerificationFailure("measure CSV does not match config grid")
-        crowd = MeasureFamily(masses, grid=grid, validate=False)
-    else:
-        crowd = inst.zero_family()
+    is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
+    crowd = _read_family(inst, out_dir) if is_mfg else inst.zero_family()
     f_grid = evaluate_reward(inst.spec, crowd)
     v = solve_vi(f_grid, inst.transition, grid.dt)
     exact_tot = _substepped_totals(inst, v)

@@ -69,9 +69,6 @@ class MeasureFamily:
     def slice_totals(self) -> np.ndarray:
         return self.masses.sum(axis=1)
 
-    def copy(self) -> "MeasureFamily":
-        return MeasureFamily(self.masses.copy(), grid=self.grid, validate=False)
-
     @classmethod
     def zeros(cls, K: int, J: int, grid: SpaceTimeGrid | None = None) -> "MeasureFamily":
         return cls(np.zeros((K + 1, J)), grid=grid, validate=False)

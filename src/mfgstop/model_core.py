@@ -467,9 +467,8 @@ class TransitionSlice:
 class TransitionOperator:
     """Per-step transitions P_k, k = 0..K-1, sharing slices when possible.
 
-    Time-homogeneous models store a single slice referenced by every step.
-    apply_each/apply_adjoint_each push a whole family, one row per step,
-    with one multi-column solve per distinct slice.
+    Time-homogeneous models store a single slice referenced by every step;
+    the *_each methods push a family with one solve per distinct slice.
     """
 
     def __init__(self, slices, slice_map, grid: SpaceTimeGrid | None = None):

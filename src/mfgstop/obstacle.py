@@ -101,9 +101,11 @@ def value_at_initial(v: ValueFunction, m0: InitialMeasure) -> float:
 class ComplementarityReport:
     """Slackness diagnostics for a measure against a value function.
 
-    stop_region_integral is sum over stop nodes (final slice excluded,
-    it carries no pairing weight) of dt * |f| * mass: an optimal family
-    puts no weighted mass where stopping is strictly preferred.
+    stop_region_integral is sum over k < K of mass times the stopping
+    slack max(0, -(dt f_k + P_k v_{k+1})): an optimal family puts no
+    mass where stopping is strictly preferred, but may where stopping
+    and continuing tie.  With the chain defects of m weighted by v, it
+    is one of three nonnegative terms that sum to value - pair(f, m).
     continuation_residual is the worst violation of the transition
     equality at nodes whose neighborhood is fully in the continuation
     region: an optimal family loses no mass there.
@@ -121,9 +123,8 @@ def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
     if f.shape != A.shape or f.shape != v.values.shape:
         raise ShapeMismatch("value, reward, and family shapes must agree")
     K = v.K
-
-    stop = v.stop_mask
-    integral = float(dt * np.sum(np.abs(f[:K]) * A[:K] * stop[:K]))
+    slack = np.maximum(0.0, -(dt * f[:K] + P.apply_each(v.values[1:])))
+    integral = float(np.sum(slack * A[:K]))
 
     resid = np.abs(A[1:] - P.apply_adjoint_each(A[:-1]))
     # eligible nodes: the node and both space neighbors continue at

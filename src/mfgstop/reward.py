@@ -67,16 +67,11 @@ class FBarFn:
             raise ValidationError(f"{kind} needs exactly two parameters")
         if not np.all(np.isfinite(params)):
             raise ValidationError(f"{kind} parameters must be finite, got {params}")
-        if validate:
-            if kind == "linear" and params[1] < 0:
-                raise ValidationError("linear slope b must be >= 0")
-            if kind == "exponential" and (params[0] < 0 or params[1] < 0):
-                raise ValidationError("exponential needs c >= 0 and lam >= 0")
-            if kind == "saturating" and params[0] < 0:
-                raise ValidationError("saturating needs c >= 0")
         self.kind = kind
         self.params = params
         self.time_modulation = time_modulation
+        if validate and not self.is_nonincreasing():
+            raise ValidationError(f"{kind} fbar{params} is not nonincreasing in y")
 
     def theta(self, t):
         if self.time_modulation is None:

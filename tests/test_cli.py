@@ -499,6 +499,37 @@ def test_bad_m_init_exits_3(tmp_path):
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.fixture(scope="module")
+def stop_now_game(tmp_path_factory):
+    # mc-check passes on this output: every path stops at t = 0
+    out = tmp_path_factory.mktemp("stop_now") / "out"
+    cfg = str(CONFIGS / "stop_now.ini")
+    assert main(["solve-mfg", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert main(["mc-check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return cfg, out
+
+
+def test_crowd_from_another_horizon_fails_both_checks(stop_now_game, tmp_path):
+    # same (K+1, J) shape, but the times belong to T = 1, not T = 2
+    cfg, out = stop_now_game
+    text = pathlib.Path(cfg).read_text(encoding="utf-8")
+    assert "T = 1.0" in text
+    other = _cfg(tmp_path, text.replace("T = 1.0", "T = 2.0"))
+    for command in ("verify", "mc-check"):
+        assert main([command, "--config", other, "--out", str(out), "--quiet"]) == 5
+
+
+def test_game_output_without_measure_fails_both_checks(stop_now_game, tmp_path):
+    # a trace marks a solve-mfg output, whose crowd must not default to zero
+    cfg, out = stop_now_game
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("trace.csv", "summary.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    for command in ("verify", "mc-check"):
+        assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+
+
 def test_shipped_decoupled_config(tmp_path, capsys):
     out = tmp_path / "out"
     code, text = _run(["solve-mfg", "--config", str(CONFIGS / "decoupled.ini"),
@@ -538,6 +569,24 @@ def test_shipped_congestion_config(tmp_path, capsys):
     code, text = _run(["verify", "--config", cfg, "--out", str(out)], capsys)
     assert code == 0
     assert "all checks passed" in text
+
+
+def test_mixed_equilibrium_with_time_dependent_sigma_verifies(tmp_path, capsys):
+    # the converged crowd keeps mass on nodes where stopping and continuing
+    # tie; complementarity weighs them by their zero stopping slack
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    changed = (text.replace("K = 100", "K = 60").replace("J = 100", "J = 60")
+               .replace("n_paths = 100000", "n_paths = 20000")
+               .replace("sigma.params = 0.5", "sigma.params = 0.5\n"
+                        "sigma.time.kind = affine\nsigma.time.params = 1.0 0.5"))
+    cfg = _cfg(tmp_path, changed)
+    out = tmp_path / "out"
+    code, text = _run(["solve-mfg", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 0
+    assert "converged after 57 iterations" in text
+    code, text = _run(["verify", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 0
+    assert "PASS complementarity" in text and "all checks passed" in text
 
 
 def test_non_finite_h_exits_3(tmp_path):

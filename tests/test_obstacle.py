@@ -210,3 +210,38 @@ def test_complementarity_detects_mass_in_stop_region():
     m = all_continue_measure(m0, P)
     rep = complementarity_report(v, f, m, P, grid.dt)
     assert rep.stop_region_integral > 0.01
+
+
+def test_complementarity_allows_mass_on_tie_nodes():
+    # dt = 1/8 is a power of two, so f[3, 2] makes stopping and continuing
+    # tie exactly at (3, 2): its value is 0 and it classifies as stop.
+    # That node is the family's only stop-node mass before the horizon.
+    grid, model, P, m0 = make_instance(K=8, J=6)
+    f = np.ones(grid.shape)
+    ahead = solve_vi(f, P, grid.dt).values[4]
+    f[3, 2] = -P.apply(3, ahead)[2] / grid.dt
+    v = solve_vi(f, P, grid.dt)
+    assert v.values[3, 2] == 0.0
+    assert np.array_equal(np.argwhere(v.stop_mask[:-1]), [[3, 2]])
+    m = all_continue_measure(m0, P)
+    assert grid.dt * abs(f[3, 2]) * m.masses[3, 2] > 1e-3
+    rep = complementarity_report(v, f, m, P, grid.dt)
+    assert rep.stop_region_integral == 0.0
+    assert rep.continuation_residual == 0.0
+
+
+def test_duality_gap_splits_into_complementarity_and_chain_defects():
+    # value - pair(f, m) = <v_0, m0 - m_0> + sum_k <v_{k+1}, P_k^T m_k - m_{k+1}>
+    # + stop integral, every term nonnegative on admissible families
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        grid, model, P, m0, f = random_instance(rng)
+        v = solve_vi(f, P, grid.dt)
+        m = random_admissible_measure(P, m0, grid, rng)
+        A, V = m.masses, v.values
+        defects = (V[0] @ (m0.masses - A[0]),
+                   np.sum(V[1:] * (P.apply_adjoint_each(A[:-1]) - A[1:])))
+        integral = complementarity_report(v, f, m, P, grid.dt).stop_region_integral
+        assert min(defects) >= -1e-14 and integral >= 0.0
+        gap = value_at_initial(v, m0) - pair(f, m, grid.dt)
+        assert gap == pytest.approx(sum(defects) + integral, rel=1e-10, abs=1e-14)
