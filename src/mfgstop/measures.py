@@ -110,6 +110,7 @@ def is_admissible(m: MeasureFamily, m0: InitialMeasure, P: TransitionOperator,
         worst, where, kind = float(excess0.max()), (0, j), "initial_bound"
 
     excess = A[1:] - P.apply_adjoint_each(A[:-1])
+    excess[np.isnan(excess)] = np.inf  # NaN compares false; count it as unbounded
     k, j = np.unravel_index(np.argmax(excess), excess.shape)
     if excess[k, j] > worst:
         worst, where, kind = float(excess[k, j]), (int(k) + 1, int(j)), "chain_bound"

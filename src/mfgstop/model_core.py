@@ -478,8 +478,8 @@ class TransitionOperator:
             raise ValidationError("slice_map references missing slices")
         self.grid = grid
         # (slice, the steps that use it), for the whole-family pushes
-        self._steps = [(self.slices[i], np.flatnonzero(self.slice_map == i))
-                       for i in np.unique(self.slice_map)]
+        self._steps = [(s, steps) for i, s in enumerate(self.slices)
+                       if (steps := np.flatnonzero(self.slice_map == i)).size]
 
     @classmethod
     def homogeneous(cls, slice_: TransitionSlice, K: int,

@@ -122,9 +122,8 @@ def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
     A = m.masses
     if f.shape != A.shape or f.shape != v.values.shape:
         raise ShapeMismatch("value, reward, and family shapes must agree")
-    K = v.K
-    slack = np.maximum(0.0, -(dt * f[:K] + P.apply_each(v.values[1:])))
-    integral = float(np.sum(slack * A[:K]))
+    slack = np.maximum(0.0, -(dt * f[:-1] + P.apply_each(v.values[1:])))
+    integral = float(np.sum(slack * A[:-1]))
 
     resid = np.abs(A[1:] - P.apply_adjoint_each(A[:-1]))
     # eligible nodes: the node and both space neighbors continue at

@@ -71,6 +71,20 @@ def test_tied_chain_violations_report_the_first_in_row_major_order():
     assert report.worst_violation == 0.25
 
 
+@pytest.mark.parametrize("inflate", [False, True])
+def test_nan_mass_is_flagged(inflate):
+    # a NaN spreads through the push; it must neither pass nor hide the
+    # inflated node that a per-step scan would still report
+    grid, model, P, m0 = make_instance()
+    m = all_continue_measure(m0, P)
+    m.masses[2, 3] = np.nan
+    if inflate:
+        m.masses[6, 1] *= 1.5
+    report = is_admissible(m, m0, P)
+    assert not report
+    assert report.worst_violation == np.inf and report.where == (2, 3)
+
+
 def test_negative_mass_is_flagged():
     grid, model, P, m0 = make_instance()
     m = all_continue_measure(m0, P)
