@@ -11,11 +11,22 @@ so each probe costs O(K).  The exploitability gap
 pair(f(., m), m_tilde) - pair(f(., m), m) is both the Nash defect of m
 and an upper bound on the remaining potential gap, so it doubles as the
 stopping criterion.
+
+Near a mixed equilibrium Frank-Wolfe zig-zags between a few vertices,
+so the same stop rules come back as best responses again and again.
+Within one solve m0 and the transitions are fixed, and the forward push
+of m0 depends only on the stop mask, so a ``PushCache`` keyed by the
+exact mask returns a recurring rule's (family, ledger) without pushing
+again, bitwise equal to a fresh push.  To bound memory it keeps a push
+only once its rule has recurred among the last few best responses, and
+at most three of them; the best iterate keeps no best-response family,
+which pays for one of them.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +54,7 @@ from .reward import (
 __all__ = [
     "ModelContext",
     "BestResponse",
+    "PushCache",
     "best_response",
     "line_search",
     "IterationTrace",
@@ -75,15 +87,58 @@ class BestResponse:
     exploitability: float
 
 
+class PushCache:
+    """Forward pushes of recurring stop rules, for one context.
+
+    The push of ctx.m0 through ctx.transition under a value function
+    depends only on its stop mask, so the exact mask (packed bits, not a
+    hash) is the key.  A push is stored only when its mask is among the
+    last WINDOW masks seen; at most CAP are held (measured atom sets have
+    1-3 members), and the least recently used one goes first.  A hit
+    hands out the stored arrays, which nobody writes to.
+    """
+
+    CAP = 3
+    WINDOW = 4
+
+    def __init__(self, ctx: ModelContext):
+        self.ctx = ctx
+        self.pushes: OrderedDict[bytes, tuple[MeasureFamily, MassLedger]] = OrderedDict()
+        self.recent: deque[bytes] = deque(maxlen=self.WINDOW)
+
+    def __len__(self) -> int:
+        return len(self.pushes)
+
+    def push(self, v: ValueFunction) -> tuple[MeasureFamily, MassLedger]:
+        key = np.packbits(v.stop_mask).tobytes()
+        out = self.pushes.get(key)
+        if out is not None:
+            self.pushes.move_to_end(key)
+        else:
+            out = stopped_forward_measure(v, self.ctx.m0, self.ctx.transition)
+            if key in self.recent:
+                self.pushes[key] = out
+                if len(self.pushes) > self.CAP:
+                    self.pushes.popitem(last=False)
+        self.recent.append(key)
+        return out
+
+
 def best_response(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext,
-                  ys: list[np.ndarray] | None = None) -> BestResponse:
+                  ys: list[np.ndarray] | None = None,
+                  pushes: PushCache | None = None) -> BestResponse:
     """Optimal stopping response to the crowd m: solve the obstacle
     problem for f(., m) and push the initial measure through its rule.
     Its exploitability is the value a single deviating agent gains by
-    playing it against m.  ys, if given, must be ``moment_paths(spec, m)``."""
+    playing it against m.  ys, if given, must be ``moment_paths(spec, m)``;
+    pushes, if given, must be a ``PushCache`` of ctx, and the push is
+    taken from it."""
     f = evaluate_reward(spec, m, ys=ys)
     v = solve_vi(f, ctx.transition, ctx.dt)
-    fam, ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
+    if pushes is None:
+        fam, ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
+    else:
+        fam, ledger = pushes.push(v)
     eps = pair(f, fam, ctx.dt) - pair(f, m, ctx.dt)
     return BestResponse(family=fam, value_fn=v, f_grid=f, ledger=ledger,
                         exploitability=eps)
@@ -246,20 +301,21 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         m = m_init
 
     trace = IterationTrace()
+    pushes = PushCache(ctx)
     start = time.perf_counter()
 
-    best = None  # (eps, m, br, ys)
+    best = None  # (eps, m, value_fn, f_grid, ys)
     converged = False
     iterations = 0
     while True:
         ys = moment_paths(spec, m)
-        br = best_response(spec, m, ctx, ys=ys)
+        br = best_response(spec, m, ctx, ys=ys, pushes=pushes)
         eps = br.exploitability
         if not np.isfinite(eps):
             raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
                               "the reward or its pairing is not finite")
         if best is None or eps < best[0]:
-            best = (eps, m, br, ys)
+            best = (eps, m, br.value_fn, br.f_grid, ys)
         if eps <= eps_tol:
             converged = True
             break
@@ -270,24 +326,25 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         trace.append(potential_value(spec, m, ctx.dt, ys=ys), eps, rho, mom,
                      time.perf_counter() - start)
         m = convex_combine(m, br.family, rho)
-        # release this response unless best holds it, so that the next
-        # best_response does not run with it still live (peak memory)
+        # release this response, so that the next best_response does not
+        # run with its value grid and reward still live (peak memory)
         br = None
         iterations += 1
 
-    if not converged:
-        eps, m, br, ys = best
+    # on convergence the last iterate is the best one, since every earlier
+    # exploitability exceeded eps_tol
+    eps, m, v, f, ys = best
 
     return FixedPointResult(
         m_star=m,
-        v_star=br.value_fn,
-        f_star=br.f_grid,
+        v_star=v,
+        f_star=f,
         trace=trace,
         iterations=iterations,
         converged=converged,
         exploitability=float(eps),
         potential=potential_value(spec, m, ctx.dt, ys=ys),
-        value=value_at_initial(br.value_fn, ctx.m0),
-        pair_value=pair(br.f_grid, m, ctx.dt),
+        value=value_at_initial(v, ctx.m0),
+        pair_value=pair(f, m, ctx.dt),
         ledger=measure_ledger(m, ctx.m0, ctx.transition),
     )

@@ -281,21 +281,24 @@ def decoupled_artifacts(tmp_path_factory):
 @pytest.mark.parametrize("case", ["empty", "header_only", "wrong_header", "short_row",
                                   "all_rows_short", "long_row", "non_numeric",
                                   "ragged_blocks", "hash_line"])
-def test_malformed_measure_csv_fails_verification(decoupled_artifacts, tmp_path, case):
-    cfg, out = decoupled_artifacts
-    lines = (out / "measure.csv").read_text().splitlines()
+def test_malformed_measure_csv_fails_verification(stop_now_game, tmp_path, case):
+    # the intact copy passes both checks, so each exit 5 below is the CSV's doing
+    cfg, out = stop_now_game
     bad = tmp_path / "out"
     bad.mkdir()
-    for name in ("trace.csv", "summary.json"):
+    for name in ("trace.csv", "summary.json", "measure.csv"):
         (bad / name).write_bytes((out / name).read_bytes())
+    for command in ("verify", "mc-check"):
+        assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 0
     path = bad / "measure.csv"
+    lines = path.read_text().splitlines()
     path.write_text(_malformed(lines)[case], encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(VerificationFailure):
             read_grid_csv(str(path))
-    assert main(["verify", "--config", cfg, "--out", str(bad), "--quiet"]) == 5
-    assert main(["mc-check", "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+    for command in ("verify", "mc-check"):
+        assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
 
 
 @pytest.mark.parametrize("variant", ["blank_line", "crlf", "no_final_newline"])

@@ -7,9 +7,12 @@ a golden-section search on the true potential (checks the closed-form
 line search) and the small dense LP (checks exploitability).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mfgstop.mfg
 import mfgstop.reward
 from mfgstop import (
     CoefficientFn,
@@ -35,8 +38,10 @@ from mfgstop import (
     value_at_initial,
 )
 from mfgstop.errors import NonConcaveDetected, SolverError, ValidationError
+from mfgstop.forward import stopped_forward_measure
 from mfgstop.lp_oracle import random_admissible_measure
-from mfgstop.obstacle import complementarity_report
+from mfgstop.mfg import PushCache
+from mfgstop.obstacle import complementarity_report, solve_vi
 from mfgstop.reward import segment_potential
 
 from conftest import congestion_instance, make_instance
@@ -407,3 +412,148 @@ def test_fixed_point_rejects_bad_budget(max_iters, eps_tol):
     spec = _decoupled_spec(grid, m0)
     with pytest.raises(ValidationError):
         fixed_point_solve(spec, ctx, max_iters=max_iters, eps_tol=eps_tol)
+
+
+# ---------------------------------------------------------------------------
+# push cache
+
+
+def _count_pushes(monkeypatch):
+    # counted where best_response and PushCache look it up, as the
+    # benchmark tracer does
+    calls = []
+    real = mfgstop.mfg.stopped_forward_measure
+
+    def counted(v, m0, P):
+        calls.append(v)
+        return real(v, m0, P)
+
+    monkeypatch.setattr(mfgstop.mfg, "stopped_forward_measure", counted)
+    return calls
+
+
+class _NeverHits(PushCache):
+    """A push cache that always misses: every best response pushes m0."""
+
+    def push(self, v):
+        return mfgstop.mfg.stopped_forward_measure(v, self.ctx.m0, self.ctx.transition)
+
+
+def _solve_without_cache(monkeypatch, spec, ctx, **kw):
+    with monkeypatch.context() as mp:
+        mp.setattr(mfgstop.mfg, "PushCache", _NeverHits)
+        return fixed_point_solve(spec, ctx, **kw)
+
+
+def _assert_same_solve(a, b):
+    np.testing.assert_array_equal(a.m_star.masses, b.m_star.masses)
+    np.testing.assert_array_equal(a.v_star.values, b.v_star.values)
+    np.testing.assert_array_equal(a.v_star.stop_mask, b.v_star.stop_mask)
+    assert np.asarray(a.trace.rho).tobytes() == np.asarray(b.trace.rho).tobytes()
+    assert a.value == b.value
+    assert a.exploitability == b.exploitability
+    assert a.iterations == b.iterations
+
+
+def _zigzag_game():
+    return congestion_instance(J=30, K=30)[-2:]
+
+
+def _timedep_game():
+    fbar = FBarFn("exponential", (1.0, 2.0))
+    h = ProductField(CoefficientFn.constant(-0.5))
+    *_, spec, ctx = _curved_instance(fbar, h, n=30, sigma_time=CoefficientFn.affine(1.0, 0.5))
+    return spec, ctx
+
+
+@pytest.mark.parametrize("game", [_zigzag_game, _timedep_game])
+def test_push_cache_leaves_the_solve_bitwise_unchanged(monkeypatch, game):
+    # both games are mixed at J=K=30, so FW zig-zags and hits the cache
+    spec, ctx = game()
+    plain = _solve_without_cache(monkeypatch, spec, ctx, max_iters=100, eps_tol=1e-9)
+    calls = _count_pushes(monkeypatch)
+    cached = fixed_point_solve(spec, ctx, max_iters=100, eps_tol=1e-9)
+    _assert_same_solve(cached, plain)
+    assert len(calls) < cached.iterations + 1
+
+
+def test_push_cache_pushes_a_recurring_rule_rarely(monkeypatch):
+    spec, ctx = _zigzag_game()
+    calls = _count_pushes(monkeypatch)
+    res = fixed_point_solve(spec, ctx, max_iters=100, eps_tol=1e-9)
+    assert not res.converged and res.iterations == 100
+    assert len(calls) <= 15  # of 101 best responses
+
+
+def _masks(n_rules, K=6, J=5):
+    """A value function and n_rules variants of its stop mask, each
+    differing from the previous one in a single node."""
+    grid, model, P, m0 = make_instance(K=K, J=J)
+    ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
+    f = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
+    v = solve_vi(f, P, grid.dt)
+    rules, mask = [], v.stop_mask.copy()
+    for i in range(n_rules):
+        mask = mask.copy()
+        mask[1 + i // J, i % J] ^= True
+        rules.append(dataclasses.replace(v, stop_mask=mask))
+    return ctx, rules
+
+
+def test_push_cache_keeps_masks_one_node_apart_separate(monkeypatch):
+    ctx, (a, b) = _masks(2)
+    calls = _count_pushes(monkeypatch)
+    cache = PushCache(ctx)
+    for v in (a, b, a, b):
+        cache.push(v)
+    assert len(calls) == 4 and len(cache) == 2
+    for v in (a, b, a, b):
+        fam, ledger = cache.push(v)
+        fresh, fresh_ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
+        np.testing.assert_array_equal(fam.masses, fresh.masses)
+        np.testing.assert_array_equal(ledger.stopped_per_step, fresh_ledger.stopped_per_step)
+    assert len(calls) == 4
+    assert not np.array_equal(cache.push(a)[0].masses, cache.push(b)[0].masses)
+
+
+def test_push_cache_keeps_no_rule_seen_once(monkeypatch):
+    ctx, rules = _masks(PushCache.WINDOW + 2)
+    calls = _count_pushes(monkeypatch)
+    cache = PushCache(ctx)
+    for v in rules:
+        cache.push(v)
+    assert len(cache) == 0
+    # the first rule left the window of recent rules long ago
+    cache.push(rules[0])
+    assert len(cache) == 0 and len(calls) == len(rules) + 1
+    cache.push(rules[0])
+    assert len(cache) == 1 and len(calls) == len(rules) + 2
+
+
+def test_push_cache_never_holds_more_than_its_cap(monkeypatch):
+    ctx, rules = _masks(PushCache.CAP + 3)
+    calls = _count_pushes(monkeypatch)
+    cache = PushCache(ctx)
+    for v in rules:
+        for _ in range(3):
+            cache.push(v)
+            assert len(cache) <= PushCache.CAP
+    assert len(cache) == PushCache.CAP
+    assert len(calls) == 2 * len(rules)
+    # the least recently used rule went first
+    cache.push(rules[-PushCache.CAP - 1])
+    assert len(calls) == 2 * len(rules) + 1
+
+
+def test_successive_solves_with_different_m0_keep_their_own_pushes(monkeypatch):
+    spec, ctx = _zigzag_game()
+    w = np.random.default_rng(5).random(ctx.grid.J) + 0.05
+    other = dataclasses.replace(ctx, m0=InitialMeasure.from_masses(w / w.sum()))
+    other_spec = RewardSpec(terms=spec.terms).validated(ctx.grid, other.m0)
+    first = fixed_point_solve(spec, ctx, max_iters=30, eps_tol=1e-9)
+    second = fixed_point_solve(other_spec, other, max_iters=30, eps_tol=1e-9)
+    _assert_same_solve(first, _solve_without_cache(monkeypatch, spec, ctx,
+                                                   max_iters=30, eps_tol=1e-9))
+    _assert_same_solve(second, _solve_without_cache(monkeypatch, other_spec, other,
+                                                    max_iters=30, eps_tol=1e-9))
+    assert not np.array_equal(first.m_star.masses, second.m_star.masses)
