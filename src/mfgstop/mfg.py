@@ -106,9 +106,6 @@ class PushCache:
         self.pushes: OrderedDict[bytes, tuple[MeasureFamily, MassLedger]] = OrderedDict()
         self.recent: deque[bytes] = deque(maxlen=self.WINDOW)
 
-    def __len__(self) -> int:
-        return len(self.pushes)
-
     def push(self, v: ValueFunction) -> tuple[MeasureFamily, MassLedger]:
         key = np.packbits(v.stop_mask).tobytes()
         out = self.pushes.get(key)
@@ -326,8 +323,9 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         trace.append(potential_value(spec, m, ctx.dt, ys=ys), eps, rho, mom,
                      time.perf_counter() - start)
         m = convex_combine(m, br.family, rho)
-        # release this response, so that the next best_response does not
-        # run with its value grid and reward still live (peak memory)
+        # release this response unless best or the cache holds its parts,
+        # so that the next best_response does not run with it still live
+        # (peak memory)
         br = None
         iterations += 1
 

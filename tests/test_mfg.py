@@ -506,7 +506,7 @@ def test_push_cache_keeps_masks_one_node_apart_separate(monkeypatch):
     cache = PushCache(ctx)
     for v in (a, b, a, b):
         cache.push(v)
-    assert len(calls) == 4 and len(cache) == 2
+    assert len(calls) == 4 and len(cache.pushes) == 2
     for v in (a, b, a, b):
         fam, ledger = cache.push(v)
         fresh, fresh_ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
@@ -522,12 +522,12 @@ def test_push_cache_keeps_no_rule_seen_once(monkeypatch):
     cache = PushCache(ctx)
     for v in rules:
         cache.push(v)
-    assert len(cache) == 0
+    assert len(cache.pushes) == 0
     # the first rule left the window of recent rules long ago
     cache.push(rules[0])
-    assert len(cache) == 0 and len(calls) == len(rules) + 1
+    assert len(cache.pushes) == 0 and len(calls) == len(rules) + 1
     cache.push(rules[0])
-    assert len(cache) == 1 and len(calls) == len(rules) + 2
+    assert len(cache.pushes) == 1 and len(calls) == len(rules) + 2
 
 
 def test_push_cache_never_holds_more_than_its_cap(monkeypatch):
@@ -537,8 +537,8 @@ def test_push_cache_never_holds_more_than_its_cap(monkeypatch):
     for v in rules:
         for _ in range(3):
             cache.push(v)
-            assert len(cache) <= PushCache.CAP
-    assert len(cache) == PushCache.CAP
+            assert len(cache.pushes) <= PushCache.CAP
+    assert len(cache.pushes) == PushCache.CAP
     assert len(calls) == 2 * len(rules)
     # the least recently used rule went first
     cache.push(rules[-PushCache.CAP - 1])
