@@ -468,20 +468,14 @@ def _timedep_game():
 
 @pytest.mark.parametrize("game", [_zigzag_game, _timedep_game])
 def test_push_cache_leaves_the_solve_bitwise_unchanged(monkeypatch, game):
-    # both games are mixed at J=K=30, so FW zig-zags and hits the cache
+    # both games are mixed at J=K=30, so FW zig-zags between a few stop
+    # rules and most best responses reuse a stored push
     spec, ctx = game()
     plain = _solve_without_cache(monkeypatch, spec, ctx, max_iters=100, eps_tol=1e-9)
     calls = _count_pushes(monkeypatch)
     cached = fixed_point_solve(spec, ctx, max_iters=100, eps_tol=1e-9)
     _assert_same_solve(cached, plain)
-    assert len(calls) < cached.iterations + 1
-
-
-def test_push_cache_pushes_a_recurring_rule_rarely(monkeypatch):
-    spec, ctx = _zigzag_game()
-    calls = _count_pushes(monkeypatch)
-    res = fixed_point_solve(spec, ctx, max_iters=100, eps_tol=1e-9)
-    assert not res.converged and res.iterations == 100
+    assert not cached.converged and cached.iterations == 100
     assert len(calls) <= 15  # of 101 best responses
 
 
