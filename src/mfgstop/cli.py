@@ -308,13 +308,13 @@ def _g17(v: float) -> str:
 
 
 def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray) -> str:
-    rows = ["t,x,value"]
-    t, x = grid.t, grid.x
+    xs = [f",{_g17(xj)}," for xj in grid.x]
+    rows = ["t,x,value\n"]
     for k in range(grid.K + 1):
-        tk = _g17(t[k])
-        for j in range(grid.J):
-            rows.append(f"{tk},{_g17(x[j])},{_g17(values[k, j])}")
-    return "\n".join(rows) + "\n"
+        tk = _g17(grid.t[k])
+        rows.append("".join([f"{tk}{xj}{val:.17g}\n"
+                             for xj, val in zip(xs, values[k].tolist())]))
+    return "".join(rows)
 
 
 def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

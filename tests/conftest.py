@@ -14,7 +14,10 @@ from mfgstop import (
     DiffusionModel,
     FBarFn,
     InitialMeasure,
+    McResult,
+    MeasureFamily,
     ModelContext,
+    PathStats,
     ProductField,
     RewardSpec,
     build_grid,
@@ -132,3 +135,64 @@ def exact_time_totals(model, grid, v, m0):
             step = scipy.linalg.expm(grid.dt * A)
         m = m @ step
     return totals
+
+
+def whole_block_simulate_paths(model, grid, v, m0, n_paths, seed):
+    """Reference for simulate_paths: every path at once, inputs drawn up front.
+
+    This is the simulator before it streamed its paths in blocks.  It
+    draws all Gaussian increments as one (n_paths, K) array and one row
+    of n_paths bridge uniforms per step, and steps all live paths
+    together, with the near-wall threshold taken over all of them.  The
+    streamed simulator must reproduce its result bit for bit.
+    """
+    K, J = grid.K, grid.J
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bridge_rng = np.random.Generator(np.random.Philox(key=seed).jumped())
+
+    start_nodes = rng.choice(J, size=n_paths, p=m0.masses / m0.total)
+    noise = rng.standard_normal((n_paths, K))
+    ids = np.arange(n_paths)  # paths still in the game, with their states x
+    x = grid.x[start_nodes]
+    stopped = 0
+    survived = 0
+    tallies = np.zeros((K + 1, J))
+    a, b, dt = grid.a, grid.b, grid.dt
+    sq = np.sqrt(dt)
+
+    for k in range(K + 1):
+        idx = np.clip(np.rint((x - a) / grid.dx).astype(int), 1, J) - 1
+        if v is not None:
+            go = ~v.stop_mask[k][idx]
+            n_hit = len(ids) - int(np.count_nonzero(go))
+            if k == K:
+                survived += n_hit
+            else:
+                stopped += n_hit
+            ids, x, idx = ids[go], x[go], idx[go]
+        if len(ids) == 0:
+            break
+        tallies[k] = np.bincount(idx, minlength=J)
+        if k == K:
+            survived += len(ids)
+            break
+        t_k = grid.t[k]
+        sig = model.sigma(t_k, x)
+        x1 = x + model.mu(t_k, x) * dt + sig * sq * noise[ids, k]
+        keep = (x1 > a) & (x1 < b)
+        da = (x - a) * (x1 - a)
+        db = (b - x) * (b - x1)
+        near = np.nonzero(keep & (np.minimum(da, db) < 20.0 * dt * np.max(sig * sig)))[0]
+        rate = -2.0 / (dt * sig[near] ** 2)
+        survive = -np.expm1(rate * da[near]) * -np.expm1(rate * db[near])
+        u = bridge_rng.random(n_paths)[ids[near]]
+        keep[near[u < 1.0 - survive]] = False
+        ids, x = ids[keep], x1[keep]
+
+    absorbed = n_paths - stopped - survived
+    family = MeasureFamily(tallies / n_paths, grid=grid, validate=False)
+    p = family.masses
+    stderr = np.sqrt(p * (1.0 - p) / n_paths)
+    stats = PathStats(n_paths=n_paths, stopped=stopped,
+                      absorbed=absorbed, survived=survived)
+    return McResult(family=family, stderr=stderr, stats=stats)

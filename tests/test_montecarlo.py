@@ -9,11 +9,17 @@ time error is large, so the bridge-killing test compares against the
 exact-time reference from conftest instead.
 """
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfgstop import (
+    CoefficientFn,
+    DiffusionModel,
     InitialMeasure,
+    ProductField,
     build_grid,
     build_transition_operator,
     simulate_paths,
@@ -21,10 +27,15 @@ from mfgstop import (
     stopped_forward_measure,
 )
 from mfgstop.errors import ShapeMismatch, ValidationError
-from mfgstop.montecarlo import PathStats
+from mfgstop.montecarlo import BLOCK, PathStats
 from mfgstop.obstacle import ValueFunction
 
-from conftest import constant_model, exact_time_totals, make_instance
+from conftest import (
+    constant_model,
+    exact_time_totals,
+    make_instance,
+    whole_block_simulate_paths,
+)
 
 
 def _bump_instance(K, J):
@@ -155,3 +166,73 @@ def test_needs_at_least_one_path():
     grid, model, P, m0 = make_instance()
     with pytest.raises(ValidationError):
         simulate_paths(model, grid, None, m0, 0, seed=0)
+
+
+def _oracle_case(name):
+    """(model, grid, v, m0) of one case of the whole-block comparison."""
+    grid, model, P, m0 = make_instance(K=30, J=25, sigma=0.3)
+    if name == "stop-rule":
+        f = np.tile(grid.x - 0.7, (grid.K + 1, 1))  # stop on the right, absorb on the left
+        return model, grid, solve_vi(f, P, grid.dt), m0
+    if name == "space-sigma":
+        model = DiffusionModel(mu=ProductField(CoefficientFn.affine(0.2, -0.4)),
+                               sigma=ProductField(CoefficientFn.affine(0.15, 0.4)))
+    elif name == "time-sigma":
+        model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.1)),
+                               sigma=ProductField(CoefficientFn.constant(0.3),
+                                                  time=CoefficientFn.affine(1.0, 0.8)))
+    return model, grid, None, m0
+
+
+@pytest.mark.parametrize("name", ["never-stop", "stop-rule", "space-sigma", "time-sigma"])
+def test_streamed_paths_equal_the_whole_block_oracle(name):
+    # 2*BLOCK + 3 paths: three blocks, the last of 3 paths, and bridge
+    # rows that start at outputs k*n_paths with k*n_paths % 4 != 0
+    model, grid, v, m0 = _oracle_case(name)
+    n = 2 * BLOCK + 3
+    for seed in (0, 1, 5):
+        got = simulate_paths(model, grid, v, m0, n, seed)
+        ref = whole_block_simulate_paths(model, grid, v, m0, n, seed)
+        np.testing.assert_array_equal(got.family.masses, ref.family.masses)
+        np.testing.assert_array_equal(got.stderr, ref.stderr)
+        assert got.stats == ref.stats
+        assert got.stats.absorbed > 0
+        assert (got.stats.stopped > 0) == (v is not None)
+
+
+def test_memory_does_not_grow_with_paths_times_steps():
+    # the whole (n_paths, K) block of increments alone would be 80 MB
+    grid, model, P, m0 = make_instance(K=100, J=50)
+    n = 100_000
+    tracemalloc.start()
+    try:
+        simulate_paths(model, grid, None, m0, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * BLOCK * grid.K * 8 + 8 * n + 8 * (grid.K + 1) * grid.J
+
+
+class _FailingModel:
+    """Constant-coefficient dynamics whose sigma raises after a few steps."""
+
+    def __init__(self, calls_before_failing):
+        self.left = calls_before_failing
+
+    def mu(self, t, x):
+        return np.zeros_like(x)
+
+    def sigma(self, t, x):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("sigma failed")
+        return np.full_like(x, 0.3)
+
+
+def test_a_failing_step_joins_the_input_thread():
+    # the failure comes in the first block, while the next one is drawn
+    grid, model, P, m0 = make_instance(K=30, J=25)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="sigma failed"):
+        simulate_paths(_FailingModel(3), grid, None, m0, 2 * BLOCK + 3, seed=0)
+    assert set(threading.enumerate()) <= before
