@@ -81,9 +81,9 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
     evaluated only where d0*d1 < 20 s_max^2 dt at some wall, s_max^2
     being the largest s^2 among the block's paths at this step.  A
     skipped path has d0*d1 >= 20 s_max^2 dt >= 20 s^2 dt at both walls,
-    so each survival
-    factor is 1 - exp(-40) or closer to 1, which rounds to exactly 1.0:
-    the skip changes no outcome, whichever paths share the block.
+    so each survival factor is 1 - exp(-40) or closer to 1, which rounds
+    to exactly 1.0: the skip changes no outcome, whichever paths share
+    the block.
     v=None means no stopping at all, so the tally estimates the
     never-stopping family.  A path that reaches the horizon counts as
     survived even though a terminal value function marks every node stop
@@ -94,14 +94,13 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
     then the Gaussian increments as an (n_paths, K) array in row-major
     order; a block of paths [p0, p1) is its next p1 - p0 rows, drawn
     DRAW_ROWS rows at a time and stored step-major, so that a step
-    reads contiguous memory.
-    Philox(seed).jumped() holds one row of n_paths bridge uniforms per
-    step: uniform (p, k) is its draw number k*n_paths + p.  Each uniform
-    consumes one 64-bit output and Philox makes four per counter value,
-    so draw number pos is reached by setting the counter's low word to
-    pos // 4 with an empty buffer and discarding pos % 4 outputs.
-    Results are therefore reproducible bit-for-bit for a given seed and
-    independent of BLOCK.
+    reads contiguous memory.  Philox(seed).jumped() holds one row of
+    n_paths bridge uniforms per step: uniform (p, k) is its draw number
+    k*n_paths + p.  Each uniform consumes one 64-bit output and Philox
+    makes four per counter value, so draw number pos is reached by
+    setting the counter's low word to pos // 4 with an empty buffer and
+    discarding pos % 4 outputs.  Results are therefore reproducible
+    bit-for-bit for a given seed and independent of BLOCK and DRAW_ROWS.
 
     The blocks run one after another in this thread; a one-worker pool
     draws block i+1's inputs while block i steps, and is joined before
