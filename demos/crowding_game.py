@@ -15,10 +15,10 @@ from mfgstop import (
     ModelContext,
     ProductField,
     RewardSpec,
-    all_continue_measure,
     build_grid,
     build_transition_operator,
     fixed_point_solve,
+    stopped_forward_measure,
 )
 
 
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"  duality gap at the equilibrium  {result.duality_gap:.3e}")
 
     other = fixed_point_solve(spec, ctx,
-                              m_init=all_continue_measure(m0, P),
+                              m_init=stopped_forward_measure(None, m0, P)[0],
                               eps_tol=1e-9)
     print(f"\n  restarted from the never-stop family: "
           f"value {other.value:.12f} "

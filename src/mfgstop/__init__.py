@@ -27,7 +27,6 @@ from .model_core import (  # noqa: F401
 from .measures import (  # noqa: F401
     AdmissibilityReport,
     MeasureFamily,
-    all_continue_measure,
     convex_combine,
     is_admissible,
     moment,

@@ -40,7 +40,7 @@ from .forward import (  # noqa: F401
     stopped_forward_measure,
 )
 from .lp_oracle import test_function_audit
-from .measures import MeasureFamily, all_continue_measure, is_admissible, moment, pair
+from .measures import MeasureFamily, is_admissible, moment, pair
 from .mfg import ModelContext, best_response, check_budget, fixed_point_solve
 from .model_core import (
     CoefficientFn,
@@ -48,13 +48,14 @@ from .model_core import (
     InitialMeasure,
     ProductField,
     SpaceTimeGrid,
+    TransitionOperator,
     TransitionSlice,
     build_grid,
     build_transition_operator,
     fold_reward,
 )
 from .montecarlo import simulate_paths
-from .obstacle import ValueFunction, complementarity_report, solve_vi, value_at_initial
+from .obstacle import complementarity_report, solve_vi, value_at_initial
 from .reward import FBarFn, RewardSpec, evaluate_reward
 
 SUMMARY_KEYS = (
@@ -173,7 +174,7 @@ class Instance:
     def initial_family(self) -> MeasureFamily:
         if self.m_init == "zero":
             return self.zero_family()
-        return all_continue_measure(self.m0, self.transition)
+        return stopped_forward_measure(None, self.m0, self.transition)[0]
 
 
 def _build_initial(cfg, grid, config_dir: str) -> InitialMeasure:
@@ -294,6 +295,8 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     mcsec = cfg["mc"] if cfg.has_section("mc") else {}
     n_paths = _number(mcsec, "n_paths", "mc", int, default=100000)
     mc_seed = _number(mcsec, "seed", "mc", int, default=0)
+    if mc_seed < 0:
+        raise ValidationError(f"[mc] seed must be nonnegative, got {mc_seed}")
 
     return Instance(grid, model, transition, m0, spec,
                     max_iters, eps_tol, m_init, n_paths, mc_seed)
@@ -540,29 +543,22 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
 MC_SUBSTEPS = 16
 
 
-def _substepped_totals(inst: Instance, v: ValueFunction) -> np.ndarray:
-    """Slice totals of v's stop rule under MC_SUBSTEPS implicit substeps per step.
+class _SubsteppedSlice:
+    """One step of length dt as MC_SUBSTEPS implicit substeps of A.
 
-    Sigma and mu are frozen at t_k over step k, as the simulator freezes
-    them: substeps use step k's generator, and steps that share a slice
-    share one substep operator.  The stop rule acts at slice boundaries
-    only, and every push is clamped at 0, as in stopped_forward_measure.
+    Every substep's push is clamped at 0, as stopped_forward_measure
+    clamps each step.  Sigma and mu stay frozen at t_k over step k, as
+    the simulator freezes them.
     """
-    grid = inst.grid
-    cont = v.continue_mask()
-    m = inst.m0.masses * cont[0]
-    totals = np.empty(grid.K + 1)
-    totals[0] = m.sum()
-    step = None
-    for k in range(grid.K):
-        A = inst.transition.slice_at(k).A
-        if step is None or step.A is not A:
-            step = TransitionSlice(A, grid.dt / MC_SUBSTEPS)
+
+    def __init__(self, A, dt: float):
+        self.n = A.n
+        self._step = TransitionSlice(A, dt / MC_SUBSTEPS)
+
+    def apply_adjoint(self, m: np.ndarray) -> np.ndarray:
         for _ in range(MC_SUBSTEPS):
-            m = np.maximum(step.apply_adjoint(m), 0.0)
-        m = m * cont[k + 1]
-        totals[k + 1] = m.sum()
-    return totals
+            m = np.maximum(self._step.apply_adjoint(m), 0.0)
+        return m
 
 
 def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) -> int:
@@ -571,7 +567,12 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     crowd = _read_family(inst, out_dir) if is_mfg else inst.zero_family()
     f_grid = evaluate_reward(inst.spec, crowd)
     v = solve_vi(f_grid, inst.transition, grid.dt)
-    exact_tot = _substepped_totals(inst, v)
+    # v's stop rule acts at slice boundaries only; steps share substep
+    # slices where they share a slice
+    P = inst.transition
+    fine = TransitionOperator([_SubsteppedSlice(s.A, grid.dt) for s in P.slices],
+                              P.slice_map)
+    exact_tot = stopped_forward_measure(v, inst.m0, fine)[0].slice_totals()
 
     mc_seed = inst.mc_seed if seed is None else seed
     mc = simulate_paths(inst.model, grid, v, inst.m0, inst.n_paths, mc_seed)
@@ -624,6 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         cfg = load_config(args.config)
         inst = build_instance(cfg, os.path.dirname(os.path.abspath(args.config)))
         os.makedirs(args.out, exist_ok=True)

@@ -62,19 +62,22 @@ class MassLedger:
                    - self.surviving)
 
 
-def stopped_forward_measure(v: ValueFunction, m0: InitialMeasure,
+def stopped_forward_measure(v: ValueFunction | None, m0: InitialMeasure,
                             P: TransitionOperator) -> tuple[MeasureFamily, MassLedger]:
     """Push m0 through the chain, removing mass on the stop region.
 
     Stopping is applied before the transition at each slice: mass
     arriving on a stop node at slice k never collects reward there and
-    never moves again.  Conservation (initial = stopped + absorbed +
-    surviving) holds to near machine precision and is asserted.
+    never moves again.  Every push is clamped at 0.  v=None never stops:
+    the family is the chain of m0 killed only at the boundary, which
+    dominates every admissible family componentwise.  Conservation
+    (initial = stopped + absorbed + surviving) holds to near machine
+    precision and is asserted.
     """
     K, J = P.K, P.n
-    if v.values.shape != (K + 1, J) or len(m0.masses) != J:
+    if len(m0.masses) != J or (v is not None and v.values.shape != (K + 1, J)):
         raise ShapeMismatch("value grid, operator, and m0 disagree on shape")
-    cont = v.continue_mask()
+    cont = np.ones((K + 1, J), dtype=bool) if v is None else ~v.stop_mask
     out = np.empty((K + 1, J))
     stopped = np.empty(K + 1)
     absorbed = np.empty(K)

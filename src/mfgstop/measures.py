@@ -24,7 +24,6 @@ __all__ = [
     "MeasureFamily",
     "AdmissibilityReport",
     "is_admissible",
-    "all_continue_measure",
     "moment",
     "pair",
     "convex_combine",
@@ -117,19 +116,6 @@ def is_admissible(m: MeasureFamily, m0: InitialMeasure, P: TransitionOperator,
 
     return AdmissibilityReport(ok=bool(worst <= tol), worst_violation=worst,
                                where=where, kind=kind)
-
-
-def all_continue_measure(m0: InitialMeasure, P: TransitionOperator) -> MeasureFamily:
-    """The never-stopping family: the chain of m0 killed only at the boundary.
-
-    Every admissible family is dominated by this one componentwise.
-    """
-    K, J = P.K, P.n
-    out = np.empty((K + 1, J))
-    out[0] = m0.masses
-    for k in range(K):
-        out[k + 1] = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
-    return MeasureFamily(out, grid=P.grid, validate=False)
 
 
 def moment(m: MeasureFamily, g: CoefficientFn) -> np.ndarray:

@@ -158,9 +158,8 @@ def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
     Boundary ties resolve to the smaller rho.  f and ys, if given, must
     be ``evaluate_reward(spec, m)`` and ``moment_paths(spec, m)``.
     """
-    gain = directional_gain(spec, m, m_tilde, dt, f=f)
-
     if spec.all_linear:
+        gain = directional_gain(spec, m, m_tilde, dt, f=f)
         grid = m.grid if m.grid is not None else spec.grid
         K = m.K
         curv = 0.0

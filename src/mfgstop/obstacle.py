@@ -49,9 +49,6 @@ class ValueFunction:
     def J(self) -> int:
         return self.values.shape[1]
 
-    def continue_mask(self) -> np.ndarray:
-        return ~self.stop_mask
-
 
 def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunction:
     """Backward recursion v_k = max(0, dt f_k + P_k v_{k+1}), v_K = 0.
@@ -129,7 +126,7 @@ def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
     # eligible nodes: the node and both space neighbors continue at
     # slices k and k+1; boundary-adjacent nodes are never eligible
     # (the absorbing boundary behaves like a stop node).
-    cont = v.continue_mask()
+    cont = ~v.stop_mask
     ok = cont[:-1] & cont[1:]
     elig = np.zeros_like(ok)
     elig[:, 1:-1] = ok[:, :-2] & ok[:, 1:-1] & ok[:, 2:]

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .measures import MeasureFamily, moment
+from .measures import MeasureFamily, moment, pair
 from .model_core import CoefficientFn, InitialMeasure, ProductField, SpaceTimeGrid
 
 __all__ = [
@@ -253,10 +253,7 @@ def antimonotonicity_check(spec: RewardSpec, samples: int = 200,
 def _h_pairing(spec: RewardSpec, grid: SpaceTimeGrid, m: MeasureFamily,
                dt: float) -> float:
     h = spec.h_grid(grid)
-    if h is None:
-        return 0.0
-    K = m.K
-    return dt * float(np.sum(h[:K] * m.masses[:K]))
+    return 0.0 if h is None else pair(h, m, dt)
 
 
 def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, h_part: float,

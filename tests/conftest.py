@@ -20,6 +20,7 @@ from mfgstop import (
     PathStats,
     ProductField,
     RewardSpec,
+    TransitionSlice,
     build_grid,
     build_transition_operator,
     discretize_generator,
@@ -101,6 +102,41 @@ def congestion_solution():
     assert result.converged
     return {"grid": grid, "model": model, "P": P, "m0": m0,
             "spec": spec, "ctx": ctx, "result": result}
+
+
+def never_stop_masses(m0, P):
+    """The never-stopping family as its own loop: the chain of m0, every
+    push clamped at 0.  stopped_forward_measure(None, ...) must equal it."""
+    out = np.empty((P.K + 1, P.n))
+    out[0] = m0.masses
+    for k in range(P.K):
+        out[k + 1] = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
+    return out
+
+
+def substepped_totals(P, m0, v, substeps):
+    """Slice totals of v's stop rule under `substeps` implicit substeps per step.
+
+    mc-check's reference as its own loop: substeps use step k's
+    generator, consecutive steps with one slice share one substep
+    operator, the stop rule acts at slice boundaries only, and every
+    substep's push is clamped at 0.  mc-check must reproduce it bit for
+    bit.
+    """
+    cont = ~v.stop_mask
+    m = m0.masses * cont[0]
+    totals = np.empty(P.K + 1)
+    totals[0] = m.sum()
+    step = None
+    for k in range(P.K):
+        A = P.slice_at(k).A
+        if step is None or step.A is not A:
+            step = TransitionSlice(A, P.dt / substeps)
+        for _ in range(substeps):
+            m = np.maximum(step.apply_adjoint(m), 0.0)
+        m = m * cont[k + 1]
+        totals[k + 1] = m.sum()
+    return totals
 
 
 def exact_time_totals(model, grid, v, m0):

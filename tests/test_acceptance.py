@@ -32,7 +32,6 @@ from mfgstop import (
     CoefficientFn,
     ProductField,
     RewardSpec,
-    all_continue_measure,
     enumerate_stopping_rules,
     fixed_point_solve,
     fokker_planck_residual,
@@ -173,7 +172,7 @@ def test_criterion_6_value_unique_across_initializations(capsys,
     ctx = congestion_solution["ctx"]
     base = congestion_solution["result"]
     other = fixed_point_solve(
-        spec, ctx, m_init=all_continue_measure(ctx.m0, ctx.transition),
+        spec, ctx, m_init=stopped_forward_measure(None, ctx.m0, ctx.transition)[0],
         eps_tol=1e-9)
     dval = abs(other.value - base.value)
     ones = CoefficientFn.constant(1.0)

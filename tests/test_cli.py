@@ -14,8 +14,17 @@ import warnings
 import numpy as np
 import pytest
 
-from mfgstop.cli import grid_csv_text, main, read_grid_csv
+from mfgstop import evaluate_reward, solve_vi
+from mfgstop.cli import (
+    MC_SUBSTEPS,
+    build_instance,
+    grid_csv_text,
+    load_config,
+    main,
+    read_grid_csv,
+)
 from mfgstop.errors import VerificationFailure
+from conftest import substepped_totals
 
 DECOUPLED = """\
 [grid]
@@ -393,6 +402,30 @@ seed = 0
     assert code == 5
 
 
+@pytest.mark.parametrize("sigma_time", ["", "sigma.time.kind = affine\n"
+                                           "sigma.time.params = 1.0 0.5\n"],
+                         ids=["time-constant", "time-dependent-sigma"])
+def test_mc_reference_matches_substep_loop(tmp_path, sigma_time):
+    # h < 0 for |x| > 1.2 puts stop nodes inside the domain
+    cfg = _bump_cfg(tmp_path)
+    pathlib.Path(cfg).write_text(
+        BUMP.replace("sigma.params = 0.5\n", "sigma.params = 0.5\n" + sigma_time),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve-stop", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert main(["mc-check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    exact = np.loadtxt(out / "mc_report.csv", delimiter=",", skiprows=1)[:, 2]
+
+    inst = build_instance(load_config(cfg), str(tmp_path))
+    assert inst.model.time_constant == (sigma_time == "")
+    v = solve_vi(evaluate_reward(inst.spec, inst.zero_family()), inst.transition,
+                 inst.grid.dt)
+    inner = v.stop_mask[:-1, 1:-1]
+    assert inner.any() and not inner.all()
+    np.testing.assert_array_equal(
+        exact, substepped_totals(inst.transition, inst.m0, v, MC_SUBSTEPS))
+
+
 # ----------------------------------------------------------------------
 # discount folding
 
@@ -494,6 +527,22 @@ def test_unknown_initial_kind_exits_3(tmp_path):
 def test_bad_m_init_exits_3(tmp_path):
     cfg = _cfg(tmp_path, DECOUPLED + "m_init = warm\n")
     assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("command,seed_line,flag", [
+    ("verify", "seed = 0", ["--seed", "-1"]),
+    ("mc-check", "seed = 0", ["--seed", "-1"]),
+    ("mc-check", "seed = -3", []),
+], ids=["verify-flag", "mc-check-flag", "mc-check-config"])
+def test_negative_seed_exits_3(tmp_path, capsys, command, seed_line, flag):
+    good = _bump_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve-stop", "--config", good, "--out", str(out), "--quiet"]) == 0
+    cfg = _cfg(tmp_path, BUMP.replace("seed = 0", seed_line), "seed.ini")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"] + flag) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be nonnegative" in err
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from mfgstop import (
     MeasureFamily,
     SupportViolation,
     ValueFunction,
-    all_continue_measure,
     fokker_planck_residual,
     is_admissible,
     measure_ledger,
@@ -18,7 +17,7 @@ from mfgstop import (
     value_at_initial,
 )
 from mfgstop.forward import forbidden_support, random_test_function
-from conftest import make_instance, random_instance
+from conftest import make_instance, never_stop_masses, random_instance
 
 
 def _never_stop_value(grid):
@@ -33,13 +32,18 @@ def _never_stop_value(grid):
 
 
 def test_never_stopping_reproduces_all_continue():
-    grid, model, P, m0 = make_instance(K=7, J=5)
-    v = _never_stop_value(grid)
-    m, ledger = stopped_forward_measure(v, m0, P)
-    bar = all_continue_measure(m0, P)
-    assert np.array_equal(m.masses, bar.masses)
-    assert ledger.total_stopped == 0.0
-    assert ledger.surviving == pytest.approx(bar.slice_totals()[-1], abs=1e-15)
+    rng = np.random.default_rng(40)
+    cases = [make_instance(K=7, J=5)] + [random_instance(rng)[:4] for _ in range(5)]
+    for grid, model, P, m0 in cases:
+        m, ledger = stopped_forward_measure(None, m0, P)
+        bar = never_stop_masses(m0, P)
+        assert np.array_equal(m.masses, bar)
+        # a value function with no stop node pushes the same family
+        same, _ = stopped_forward_measure(_never_stop_value(grid), m0, P)
+        assert np.array_equal(same.masses, bar)
+        assert not ledger.stopped_per_step.any()
+        assert ledger.surviving == m.slice_totals()[-1]
+        assert ledger.conservation_gap <= 1e-12
 
 
 def test_zero_value_stops_all_mass_immediately():
@@ -59,7 +63,7 @@ def test_positive_reward_continues_until_horizon():
     v = solve_vi(np.ones(grid.shape), P, grid.dt)
     assert not v.stop_mask[: grid.K].any()
     m, ledger = stopped_forward_measure(v, m0, P)
-    bar = all_continue_measure(m0, P)
+    bar = stopped_forward_measure(None, m0, P)[0]
     assert np.array_equal(m.masses[: grid.K], bar.masses[: grid.K])
     assert np.array_equal(m.masses[grid.K], np.zeros(grid.J))
     assert ledger.surviving == 0.0
@@ -84,7 +88,7 @@ def test_output_admissible_dominated_and_supported():
         v = solve_vi(f, P, grid.dt)
         m, ledger = stopped_forward_measure(v, m0, P)
         assert is_admissible(m, m0, P, tol=1e-10).ok
-        bar = all_continue_measure(m0, P)
+        bar = stopped_forward_measure(None, m0, P)[0]
         assert np.all(m.masses <= bar.masses + 1e-12)
         # stop nodes carry exactly zero mass (k = 0 included: removed there)
         assert np.all(m.masses[v.stop_mask] == 0.0)

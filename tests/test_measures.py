@@ -14,13 +14,13 @@ from mfgstop import (
     TransitionOperator,
     TransitionSlice,
     ValidationError,
-    all_continue_measure,
     build_grid,
     build_transition_operator,
     convex_combine,
     is_admissible,
     moment,
     pair,
+    stopped_forward_measure,
 )
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.montecarlo import simulate_paths
@@ -41,7 +41,7 @@ def test_zero_family_is_admissible():
 
 def test_all_continue_has_zero_slack():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     report = is_admissible(m, m0, P, tol=0.0)
     assert report.ok
     assert report.worst_violation == 0.0
@@ -50,7 +50,7 @@ def test_all_continue_has_zero_slack():
 @pytest.mark.parametrize("node", [(0, 1), (3, 2), (8, 5)])
 def test_inflated_node_is_flagged(node):
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     k, j = node
     m.masses[k, j] *= 1.5
     report = is_admissible(m, m0, P)
@@ -76,7 +76,7 @@ def test_nan_mass_is_flagged(inflate):
     # a NaN spreads through the push; it must neither pass nor hide the
     # inflated node that a per-step scan would still report
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     m.masses[2, 3] = np.nan
     if inflate:
         m.masses[6, 1] *= 1.5
@@ -87,7 +87,7 @@ def test_nan_mass_is_flagged(inflate):
 
 def test_negative_mass_is_flagged():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     m.masses[2, 3] = -0.4
     report = is_admissible(m, m0, P)
     assert not report
@@ -112,7 +112,7 @@ def test_all_continue_near_identity_transition():
     model = constant_model(0.0, 1e-4)
     P = build_transition_operator(model, grid)
     m0 = InitialMeasure.uniform(grid)
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     for k in range(grid.K + 1):
         assert np.allclose(m.masses[k], m0.masses, atol=1e-9)
 
@@ -122,7 +122,7 @@ def test_all_continue_scalar_geometric_decay():
     A = Tridiagonal(lower=np.zeros(0), diag=np.array([-c]), upper=np.zeros(0))
     P = TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
     m0 = InitialMeasure.from_masses([1.0])
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     p = 1.0 / (1.0 + dt * c)
     for k in range(K + 1):
         assert m.masses[k, 0] == pytest.approx(p**k, rel=1e-13)
@@ -137,7 +137,7 @@ def test_all_continue_matches_monte_carlo_histogram():
     model = constant_model(0.0, 0.25)
     P = build_transition_operator(model, grid)
     m0 = InitialMeasure.uniform(grid)
-    bar = all_continue_measure(m0, P)
+    bar = stopped_forward_measure(None, m0, P)[0]
     mc = simulate_paths(model, grid, None, m0, n_paths=n, seed=0)
     assert mc.stats.stopped == 0
     for k in (50, 100, 150, 200):
@@ -151,7 +151,7 @@ def test_slice_mass_monotone():
     rng = np.random.default_rng(7)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        totals = all_continue_measure(m0, P).slice_totals()
+        totals = stopped_forward_measure(None, m0, P)[0].slice_totals()
         assert np.all(np.diff(totals) <= 1e-14)
         assert totals[0] == pytest.approx(m0.total, abs=1e-14)
 
@@ -160,7 +160,7 @@ def test_domination_by_all_continue():
     rng = np.random.default_rng(8)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        bar = all_continue_measure(m0, P)
+        bar = stopped_forward_measure(None, m0, P)[0]
         m = random_admissible_measure(P, m0, grid, rng)
         assert np.all(m.masses <= bar.masses + 1e-12)
 
@@ -171,7 +171,7 @@ def test_domination_by_all_continue():
 
 def test_moment_of_ones_counts_survivors():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     y = moment(m, CoefficientFn.constant(1.0))
     assert np.allclose(y, m.slice_totals(), atol=1e-14)
 
@@ -231,7 +231,7 @@ def test_moment_matches_fsum():
 
 def test_pair_zero_reward():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     assert pair(np.zeros(grid.shape), m, grid.dt) == 0.0
 
 
@@ -242,7 +242,7 @@ def test_pair_unit_reward_identity_transition():
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
     P = TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
     m0 = InitialMeasure.uniform(build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J))
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     val = pair(np.ones((K + 1, J)), m, dt)
     assert val == pytest.approx(1.0, abs=1e-14)
 
@@ -262,7 +262,7 @@ def test_pair_matches_fsum_double_loop():
 
 def test_pair_ignores_final_slice():
     grid, model, P, m0 = make_instance(K=3, J=4)
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     f = np.zeros(grid.shape)
     f[grid.K] = 100.0
     assert pair(f, m, grid.dt) == 0.0
@@ -270,7 +270,7 @@ def test_pair_ignores_final_slice():
 
 def test_pair_shape_mismatch():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(ShapeMismatch):
         pair(np.zeros((2, 2)), m, grid.dt)
 
@@ -302,7 +302,7 @@ def test_convex_combine_stays_admissible():
 
 def test_convex_combine_rejects_bad_rho():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(ValidationError):
         convex_combine(m, m, -0.1)
     with pytest.raises(ValidationError):

@@ -23,7 +23,6 @@ from mfgstop import (
     ModelContext,
     ProductField,
     RewardSpec,
-    all_continue_measure,
     best_response,
     build_grid,
     build_transition_operator,
@@ -35,6 +34,7 @@ from mfgstop import (
     moment,
     pair,
     potential_value,
+    stopped_forward_measure,
     value_at_initial,
 )
 from mfgstop.errors import NonConcaveDetected, SolverError, ValidationError
@@ -101,7 +101,7 @@ def test_best_response_ignores_crowd_when_decoupled():
     spec = _decoupled_spec(grid, m0)
 
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    crowd = all_continue_measure(m0, P)
+    crowd = stopped_forward_measure(None, m0, P)[0]
     br_a = best_response(spec, zero, ctx)
     br_b = best_response(spec, crowd, ctx)
 
@@ -117,7 +117,7 @@ def test_best_response_stops_at_once_when_reward_is_negative():
         terms=((FBarFn("linear", (-1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
 
-    br = best_response(spec, all_continue_measure(m0, P), ctx)
+    br = best_response(spec, stopped_forward_measure(None, m0, P)[0], ctx)
     assert np.all(br.f_grid < 0.0)
     np.testing.assert_array_equal(br.value_fn.values,
                                   np.zeros((grid.K + 1, grid.J)))
@@ -145,7 +145,7 @@ def test_best_response_value_matches_small_lp():
 
 def test_line_search_interior_matches_golden_section_oracle():
     grid, model, P, m0, spec, ctx = congestion_instance(J=40, K=40)
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     m_tilde = best_response(spec, m, ctx).family
 
     rho = line_search(spec, m, m_tilde, grid.dt)
@@ -164,7 +164,8 @@ def test_line_search_interior_matches_golden_section_oracle():
 def test_segment_potential_matches_potential_of_combined_family(kind):
     grid, P, m0, spec, ctx = _curved_instance(*CURVED[kind])
     rng = np.random.default_rng(37)
-    for m in (all_continue_measure(m0, P), random_admissible_measure(P, m0, grid, rng)):
+    for m in (stopped_forward_measure(None, m0, P)[0],
+              random_admissible_measure(P, m0, grid, rng)):
         m_tilde = best_response(spec, m, ctx).family
         phi = segment_potential(spec, m, m_tilde, grid.dt)
         for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -174,7 +175,7 @@ def test_segment_potential_matches_potential_of_combined_family(kind):
 
 def test_line_search_exponential_matches_golden_section_oracle():
     grid, P, m0, spec, ctx = _curved_instance(*CURVED["exponential"])
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     m_tilde = best_response(spec, m, ctx).family
 
     rho = line_search(spec, m, m_tilde, grid.dt)
@@ -203,7 +204,7 @@ def test_line_search_decoupled_takes_full_or_no_step():
 
 def test_line_search_stationary_direction_returns_zero():
     grid, model, P, m0 = make_instance()
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     linear = _decoupled_spec(grid, m0)
     assert line_search(linear, m, m, grid.dt) == 0.0
     curved = RewardSpec(
@@ -219,7 +220,7 @@ def test_line_search_rejects_non_concave_objective():
     bad = FBarFn("exponential", (-1.0, 2.0), validate=False)
     spec = RewardSpec(terms=((bad, CoefficientFn.constant(1.0)),))
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    bar = all_continue_measure(m0, P)
+    bar = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(NonConcaveDetected):
         line_search(spec, zero, bar, grid.dt)
 
@@ -309,7 +310,7 @@ def test_fixed_point_agrees_across_initializations(congestion_solution):
     ctx = congestion_solution["ctx"]
     base = congestion_solution["result"]
 
-    bar = all_continue_measure(ctx.m0, ctx.transition)
+    bar = stopped_forward_measure(None, ctx.m0, ctx.transition)[0]
     other = fixed_point_solve(spec, ctx, m_init=bar, eps_tol=1e-9)
     assert other.converged
     assert abs(other.value - base.value) <= 1e-6

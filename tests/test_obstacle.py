@@ -10,7 +10,6 @@ from mfgstop import (
     Tridiagonal,
     TransitionOperator,
     TransitionSlice,
-    all_continue_measure,
     build_grid,
     complementarity_report,
     pair,
@@ -207,7 +206,7 @@ def test_complementarity_detects_mass_in_stop_region():
     f[:, : grid.J // 2] = -1.0
     v = solve_vi(f, P, grid.dt)
     assert v.stop_mask[0, 0]
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     rep = complementarity_report(v, f, m, P, grid.dt)
     assert rep.stop_region_integral > 0.01
 
@@ -223,7 +222,7 @@ def test_complementarity_allows_mass_on_tie_nodes():
     v = solve_vi(f, P, grid.dt)
     assert v.values[3, 2] == 0.0
     assert np.array_equal(np.argwhere(v.stop_mask[:-1]), [[3, 2]])
-    m = all_continue_measure(m0, P)
+    m = stopped_forward_measure(None, m0, P)[0]
     assert grid.dt * abs(f[3, 2]) * m.masses[3, 2] > 1e-3
     rep = complementarity_report(v, f, m, P, grid.dt)
     assert rep.stop_region_integral == 0.0

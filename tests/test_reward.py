@@ -14,7 +14,6 @@ from mfgstop import (
     RewardSpec,
     ShapeMismatch,
     ValidationError,
-    all_continue_measure,
     antimonotonicity_check,
     build_grid,
     convex_combine,
@@ -23,6 +22,7 @@ from mfgstop import (
     moment,
     pair,
     potential_value,
+    stopped_forward_measure,
 )
 from mfgstop.lp_oracle import random_admissible_measure
 from conftest import make_instance
@@ -55,7 +55,7 @@ def test_decoupled_reward_ignores_measure():
         terms=((FBarFn("linear", (1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    full = all_continue_measure(m0, P)
+    full = stopped_forward_measure(None, m0, P)[0]
     f0 = evaluate_reward(spec, zero)
     f1 = evaluate_reward(spec, full)
     assert np.array_equal(f0, np.ones(grid.shape))
