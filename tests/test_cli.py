@@ -407,10 +407,9 @@ seed = 0
                          ids=["time-constant", "time-dependent-sigma"])
 def test_mc_reference_matches_substep_loop(tmp_path, sigma_time):
     # h < 0 for |x| > 1.2 puts stop nodes inside the domain
-    cfg = _bump_cfg(tmp_path)
-    pathlib.Path(cfg).write_text(
-        BUMP.replace("sigma.params = 0.5\n", "sigma.params = 0.5\n" + sigma_time),
-        encoding="utf-8")
+    _bump_cfg(tmp_path)
+    cfg = _cfg(tmp_path, BUMP.replace("sigma.params = 0.5\n",
+                                      "sigma.params = 0.5\n" + sigma_time), "bump.ini")
     out = tmp_path / "out"
     assert main(["solve-stop", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert main(["mc-check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
