@@ -100,6 +100,14 @@ def _number(section, key: str, name: str, cast, default=None):
         raise ConfigParseError(f"[{name}] {key} = {raw!r} is not a number") from exc
 
 
+def _check_seed(seed: int, name: str) -> None:
+    """Reject seeds outside [0, 2**128), the key range of the Philox streams."""
+    if seed < 0:
+        raise ValidationError(f"{name} must be nonnegative, got {seed}")
+    if seed >= 2 ** 128:
+        raise ValidationError(f"{name} must be below 2**128, got {seed}")
+
+
 def _coefficient(section, prefix: str, name: str) -> CoefficientFn | None:
     """Build a catalog function from `prefix.kind` + params keys, or None."""
     kind = section.get(prefix + ".kind")
@@ -295,8 +303,7 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     mcsec = cfg["mc"] if cfg.has_section("mc") else {}
     n_paths = _number(mcsec, "n_paths", "mc", int, default=100000)
     mc_seed = _number(mcsec, "seed", "mc", int, default=0)
-    if mc_seed < 0:
-        raise ValidationError(f"[mc] seed must be nonnegative, got {mc_seed}")
+    _check_seed(mc_seed, "[mc] seed")
 
     return Instance(grid, model, transition, m0, spec,
                     max_iters, eps_tol, m_init, n_paths, mc_seed)
@@ -311,12 +318,11 @@ def _g17(v: float) -> str:
 
 
 def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray) -> str:
-    xs = [f",{_g17(xj)}," for xj in grid.x]
+    xs = [f",{_g17(xj)},%.17g\n" for xj in grid.x]
     rows = ["t,x,value\n"]
     for k in range(grid.K + 1):
         tk = _g17(grid.t[k])
-        rows.append("".join([f"{tk}{xj}{val:.17g}\n"
-                             for xj, val in zip(xs, values[k].tolist())]))
+        rows.append("".join([tk + xj for xj in xs]) % tuple(values[k].tolist()))
     return "".join(rows)
 
 
@@ -625,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+        if args.seed is not None:
+            _check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
         inst = build_instance(cfg, os.path.dirname(os.path.abspath(args.config)))
         os.makedirs(args.out, exist_ok=True)

@@ -14,10 +14,11 @@ statistical up to the chain's own discretization error.
 
 Paths are independent, so they are simulated in blocks of BLOCK paths,
 each block through all K steps.  A single producer thread draws the
-random inputs of the next block while the current one steps; numpy's
-generators release the interpreter lock while they fill arrays, so the
-draws overlap the stepping.  Memory is O(BLOCK*K + n_paths + K*J),
-whatever n_paths*K is.
+Gaussian increments of the next block while the current one steps;
+numpy's generators release the interpreter lock while they fill arrays,
+so the draws overlap the stepping.  The stepping thread draws each
+step's bridge uniforms itself, when it needs them.  Memory is
+O(BLOCK*K + n_paths + K*J), whatever n_paths*K is.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .obstacle import ValueFunction
 
 __all__ = ["PathStats", "McResult", "simulate_paths"]
 
-# Paths per block.  Two blocks of inputs are alive at a time (the one
-# stepping and the one being drawn), each 2*BLOCK*K doubles; 8192 was
+# Paths per block.  Two blocks of increments are alive at a time (the
+# one stepping and the one being drawn), each BLOCK*K doubles; 8192 was
 # the fastest size measured at K=300 and 1e5 paths.
 BLOCK = 8192
 # Paths per Gaussian draw: each (DRAW_ROWS, K) draw is transposed into
@@ -90,26 +91,25 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
     at the final slice.
 
     Randomness comes from two counter-based streams keyed by the seed,
-    each indexed by (path, step).  Philox(seed) draws the start nodes,
-    then the Gaussian increments as an (n_paths, K) array in row-major
-    order; a block of paths [p0, p1) is its next p1 - p0 rows, drawn
-    DRAW_ROWS rows at a time and stored step-major, so that a step
-    reads contiguous memory.  Philox(seed).jumped() holds one row of
-    n_paths bridge uniforms per step: uniform (p, k) is its draw number
-    k*n_paths + p.  Each uniform consumes one 64-bit output and Philox
-    makes four per counter value, so draw number pos is reached by
-    setting the counter's low word to pos // 4 with an empty buffer and
-    discarding pos % 4 outputs.  Results are therefore reproducible
-    bit-for-bit for a given seed and independent of BLOCK and DRAW_ROWS.
+    which must lie in [0, 2**128), each indexed by (path, step).
+    Philox(seed) draws the start nodes, then the Gaussian increments as
+    an (n_paths, K) array in row-major order; a block of paths [p0, p1)
+    is its next p1 - p0 rows, drawn DRAW_ROWS rows at a time and stored
+    step-major, so that a step reads contiguous memory.  Uniform (p, k)
+    of the bridge is 64-bit output k*n_paths + p of Philox(seed).jumped(),
+    mapped to [0, 1) as Generator.random() maps it; a step seeks its
+    block's row (see _seek) only if some path is near a wall.  Results
+    are thus bit-for-bit reproducible and independent of BLOCK and DRAW_ROWS.
 
     The blocks run one after another in this thread; a one-worker pool
-    draws block i+1's inputs while block i steps, and is joined before
-    the function returns or raises.  The inputs live in two buffer
-    pairs allocated up front, one stepping and one being filled, so
-    memory is O(BLOCK*K + n_paths + K*J).
+    draws block i+1's increments into one of two buffers while block i
+    steps on the other, and is joined before the function returns or
+    raises.  The two threads share no generator.
     """
     if n_paths < 1:
         raise ValidationError("need at least one path")
+    if not 0 <= seed < 2 ** 128:
+        raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
     K, J = grid.K, grid.J
     if v is not None and v.values.shape != grid.shape:
         raise ShapeMismatch("value function does not live on the given grid")
@@ -117,36 +117,35 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
     start_nodes = rng.choice(J, size=n_paths, p=m0.masses / m0.total)
     bridge = np.random.Philox(key=seed).jumped()
     bridge_base = bridge.state
-    bridge_rng = np.random.Generator(bridge)
 
-    def draw(p0: int, noise_buf: np.ndarray,
-             uniform_buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fill the buffers with the block at p0's step-major (K, C) inputs."""
+    def draw(p0: int, buf: np.ndarray) -> np.ndarray:
+        """Fill buf with the block at p0's step-major (K, C) increments."""
         C = min(BLOCK, n_paths - p0)
-        noise = noise_buf[:K * C].reshape(K, C)
-        uniforms = uniform_buf[:K * C].reshape(K, C)
+        noise = buf[:K * C].reshape(K, C)
         for r0 in range(0, C, DRAW_ROWS):
             r1 = min(r0 + DRAW_ROWS, C)
             noise[:, r0:r1] = rng.standard_normal((r1 - r0, K)).T
-        for k in range(K):
-            _seek(bridge, bridge_base, k * n_paths + p0)
-            bridge_rng.random(out=uniforms[k])
-        return noise, uniforms
+        return noise
+
+    def uniforms(p0: int, k: int, cols: np.ndarray) -> np.ndarray:
+        """Bridge uniforms (p0 + cols, k); cols ascending."""
+        _seek(bridge, bridge_base, k * n_paths + p0)
+        return (bridge.random_raw(cols[-1] + 1)[cols] >> 11) * 2.0 ** -53
 
     tallies = np.zeros((K + 1, J))
     stopped = 0
     survived = 0
-    size = K * min(BLOCK, n_paths)
-    buffers = [(np.empty(size), np.empty(size)) for _ in range(2)]
+    buffers = [np.empty(K * min(BLOCK, n_paths)) for _ in range(2)]
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, 0, *buffers[0])
+        pending = pool.submit(draw, 0, buffers[0])
         for i, p0 in enumerate(range(0, n_paths, BLOCK)):
-            noise, uniforms = pending.result()
+            noise = pending.result()
             if p0 + BLOCK < n_paths:
-                # block i - 1 has finished stepping on these buffers
-                pending = pool.submit(draw, p0 + BLOCK, *buffers[(i + 1) % 2])
+                # block i - 1 has finished stepping on this buffer
+                pending = pool.submit(draw, p0 + BLOCK, buffers[(i + 1) % 2])
             x = grid.x[start_nodes[p0:p0 + BLOCK]]
-            n_stop, n_surv = _step_block(model, grid, v, x, noise, uniforms, tallies)
+            n_stop, n_surv = _step_block(model, grid, v, x, noise,
+                                         lambda k, cols: uniforms(p0, k, cols), tallies)
             stopped += n_stop
             survived += n_surv
 
@@ -161,11 +160,12 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
 
 def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,
                 v: ValueFunction | None, x: np.ndarray, noise: np.ndarray,
-                uniforms: np.ndarray, tallies: np.ndarray) -> tuple[int, int]:
+                uniforms, tallies: np.ndarray) -> tuple[int, int]:
     """Run one block of paths from their start states x through all steps.
 
-    noise and uniforms are the block's (K, C) step-major inputs.  Adds
-    the block's node counts to tallies and returns (stopped, survived).
+    noise holds the block's (K, C) step-major increments, uniforms(k, cols)
+    the bridge uniforms of its paths cols at step k.  Adds the block's
+    node counts to tallies and returns (stopped, survived).
     """
     K, J = grid.K, grid.J
     a, b, dt = grid.a, grid.b, grid.dt
@@ -198,7 +198,8 @@ def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,
         near = np.nonzero(keep & (np.minimum(da, db) < 20.0 * dt * np.max(sig * sig)))[0]
         rate = -2.0 / (dt * sig[near] ** 2)
         survive = -np.expm1(rate * da[near]) * -np.expm1(rate * db[near])
-        keep[near[uniforms[k, ids[near]] < 1.0 - survive]] = False
+        if len(near):
+            keep[near[uniforms(k, ids[near]) < 1.0 - survive]] = False
         ids, x = ids[keep], x1[keep]
     return stopped, survived
 

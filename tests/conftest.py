@@ -114,6 +114,18 @@ def never_stop_masses(m0, P):
     return out
 
 
+def per_value_grid_csv_text(grid, values):
+    """cli.grid_csv_text as one f-string per value, the way it was first
+    written; the one-format-per-slice version must give the same text."""
+    xs = [f",{float(xj):.17g}," for xj in grid.x]
+    rows = ["t,x,value\n"]
+    for k in range(grid.K + 1):
+        tk = f"{float(grid.t[k]):.17g}"
+        rows.append("".join([f"{tk}{xj}{val:.17g}\n"
+                             for xj, val in zip(xs, values[k].tolist())]))
+    return "".join(rows)
+
+
 def substepped_totals(P, m0, v, substeps):
     """Slice totals of v's stop rule under `substeps` implicit substeps per step.
 

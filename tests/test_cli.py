@@ -24,7 +24,7 @@ from mfgstop.cli import (
     read_grid_csv,
 )
 from mfgstop.errors import VerificationFailure
-from conftest import substepped_totals
+from conftest import per_value_grid_csv_text, substepped_totals
 
 DECOUPLED = """\
 [grid]
@@ -175,6 +175,20 @@ def test_measure_csv_round_trips_bitwise(tmp_path):
     np.testing.assert_array_equal(times, grid.t)
     np.testing.assert_array_equal(nodes, grid.x)
     assert grid_csv_text(grid, masses) == path.read_text()
+
+
+def test_grid_csv_text_matches_the_per_value_formatter():
+    from mfgstop import build_grid
+    grid = build_grid(T=2.0, a=-1.0, b=3.0, K=7, J=9)
+    values = np.random.default_rng(3).standard_normal((8, 9)) * 10.0 ** np.arange(-4, 5)
+    values[1, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308]
+    values[2] = 0.0
+    values[3, :3] = [1 / 3, -2.5e-300, 123456789012345678.0]
+    text = grid_csv_text(grid, values)
+    assert text == per_value_grid_csv_text(grid, values)
+    cells = [line.split(",")[2] for line in text.splitlines()[1 + 9:1 + 9 + 6]]
+    assert cells == ["-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+                     "1e+308"]
 
 
 def test_solve_mfg_all_continue_init_agrees(tmp_path):
@@ -528,20 +542,44 @@ def test_bad_m_init_exits_3(tmp_path):
     assert main(["solve-mfg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def _seed_run(tmp_path, capsys, command, seed_line, flag):
+    """Exit code and stderr of `command` on the BUMP output, with the
+    config's [mc] seed line and the extra flags given."""
+    good = _bump_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve-stop", "--config", good, "--out", str(out), "--quiet"]) == 0
+    cfg = _cfg(tmp_path, BUMP.replace("seed = 0", seed_line), "seed.ini")
+    capsys.readouterr()
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"] + flag)
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,seed_line,flag", [
     ("verify", "seed = 0", ["--seed", "-1"]),
     ("mc-check", "seed = 0", ["--seed", "-1"]),
     ("mc-check", "seed = -3", []),
 ], ids=["verify-flag", "mc-check-flag", "mc-check-config"])
 def test_negative_seed_exits_3(tmp_path, capsys, command, seed_line, flag):
-    good = _bump_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert main(["solve-stop", "--config", good, "--out", str(out), "--quiet"]) == 0
-    cfg = _cfg(tmp_path, BUMP.replace("seed = 0", seed_line), "seed.ini")
-    capsys.readouterr()
-    assert main([command, "--config", cfg, "--out", str(out), "--quiet"] + flag) == 3
-    err = capsys.readouterr().err
+    code, err = _seed_run(tmp_path, capsys, command, seed_line, flag)
+    assert code == 3
     assert err.startswith("error: ") and "seed must be nonnegative" in err
+
+
+@pytest.mark.parametrize("command,in_config", [
+    ("verify", False), ("mc-check", False), ("mc-check", True),
+], ids=["verify-flag", "mc-check-flag", "mc-check-config"])
+def test_seed_beyond_philox_keys_exits_3(tmp_path, capsys, command, in_config):
+    # Philox keys are below 2**128; the largest one still runs
+    def run(seed):
+        if in_config:
+            return _seed_run(tmp_path, capsys, command, f"seed = {seed}", [])
+        return _seed_run(tmp_path, capsys, command, "seed = 0", ["--seed", str(seed)])
+
+    code, err = run(2 ** 128)
+    assert code == 3
+    assert err.startswith("error: ") and "seed must be below 2**128" in err
+    assert err.count("\n") == 1
+    assert run(2 ** 128 - 1)[0] == 0
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from mfgstop import (
     solve_vi,
     stopped_forward_measure,
 )
+from mfgstop import montecarlo
 from mfgstop.errors import ShapeMismatch, ValidationError
 from mfgstop.montecarlo import BLOCK, PathStats
 from mfgstop.obstacle import ValueFunction
@@ -168,6 +169,14 @@ def test_needs_at_least_one_path():
         simulate_paths(model, grid, None, m0, 0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 2 ** 200])
+def test_seed_outside_the_philox_keys_raises(seed):
+    grid, model, P, m0 = make_instance()
+    with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*128\)"):
+        simulate_paths(model, grid, None, m0, 10, seed)
+    simulate_paths(model, grid, None, m0, 10, 2 ** 128 - 1)
+
+
 def _oracle_case(name):
     """(model, grid, v, m0) of one case of the whole-block comparison."""
     grid, model, P, m0 = make_instance(K=30, J=25, sigma=0.3)
@@ -200,8 +209,25 @@ def test_streamed_paths_equal_the_whole_block_oracle(name):
         assert (got.stats.stopped > 0) == (v is not None)
 
 
+def test_sample_does_not_depend_on_block_size(monkeypatch):
+    # odd sizes put every block boundary and draw boundary elsewhere, so
+    # each step's bridge row starts at another offset k*n_paths + p0
+    model, grid, v, m0 = _oracle_case("stop-rule")
+    n = 2 * BLOCK + 3
+    default = [simulate_paths(model, grid, v, m0, n, seed) for seed in (0, 1, 5)]
+    monkeypatch.setattr(montecarlo, "BLOCK", 97)
+    monkeypatch.setattr(montecarlo, "DRAW_ROWS", 5)
+    for seed, ref in zip((0, 1, 5), default):
+        got = simulate_paths(model, grid, v, m0, n, seed)
+        np.testing.assert_array_equal(got.family.masses, ref.family.masses)
+        np.testing.assert_array_equal(got.stderr, ref.stderr)
+        assert got.stats == ref.stats
+        assert got.stats.stopped > 0 and got.stats.absorbed > 0
+
+
 def test_memory_does_not_grow_with_paths_times_steps():
-    # the whole (n_paths, K) block of increments alone would be 80 MB
+    # the whole (n_paths, K) block of increments alone would be 80 MB;
+    # the simulator holds two blocks of increments and no uniforms
     grid, model, P, m0 = make_instance(K=100, J=50)
     n = 100_000
     tracemalloc.start()
@@ -210,7 +236,7 @@ def test_memory_does_not_grow_with_paths_times_steps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * BLOCK * grid.K * 8 + 8 * n + 8 * (grid.K + 1) * grid.J
+    assert peak < 3 * BLOCK * grid.K * 8 + 8 * n + 8 * (grid.K + 1) * grid.J
 
 
 class _FailingModel:
