@@ -35,9 +35,8 @@ from .obstacle import ValueFunction
 
 __all__ = ["PathStats", "McResult", "simulate_paths"]
 
-# Paths per block.  Two blocks of increments are alive at a time (the
-# one stepping and the one being drawn), each BLOCK*K doubles; 8192 was
-# the fastest size measured at K=300 and 1e5 paths.
+# Paths per block; two blocks of BLOCK*K increments are alive at once.
+# 8192 was the fastest size measured at K=300 and 1e5 paths.
 BLOCK = 8192
 # Paths per Gaussian draw: each (DRAW_ROWS, K) draw is transposed into
 # the block's step-major buffer, and stays in cache while it is.

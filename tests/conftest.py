@@ -115,8 +115,8 @@ def never_stop_masses(m0, P):
 
 
 def per_value_grid_csv_text(grid, values):
-    """cli.grid_csv_text as one f-string per value, the way it was first
-    written; the one-format-per-slice version must give the same text."""
+    """cli.grid_csv_text with one f-string per value: the reference its
+    one-format-per-slice form must match byte for byte."""
     xs = [f",{float(xj):.17g}," for xj in grid.x]
     rows = ["t,x,value\n"]
     for k in range(grid.K + 1):
