@@ -302,6 +302,10 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
 
     mcsec = cfg["mc"] if cfg.has_section("mc") else {}
     n_paths = _number(mcsec, "n_paths", "mc", int, default=100000)
+    # 100x the largest sample in use; the start-node draw alone takes
+    # about 16 bytes per path
+    if not 1 <= n_paths <= 10 ** 7:
+        raise ValidationError(f"[mc] n_paths must be in [1, 10**7], got {n_paths}")
     mc_seed = _number(mcsec, "seed", "mc", int, default=0)
     _check_seed(mc_seed, "[mc] seed")
 

@@ -258,6 +258,8 @@ class ProductField:
         return self.time(t)
 
     def __call__(self, t, x):
+        if self.time is None:
+            return self.space(x)  # the same bits as 1.0 * space(x)
         return self.time_factor(t) * self.space(x)
 
     def on_grid(self, grid: SpaceTimeGrid) -> np.ndarray:

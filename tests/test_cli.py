@@ -582,6 +582,20 @@ def test_seed_beyond_philox_keys_exits_3(tmp_path, capsys, command, in_config):
     assert run(2 ** 128 - 1)[0] == 0
 
 
+@pytest.mark.parametrize("n_paths", [0, -3, 10 ** 7 + 1])
+def test_n_paths_outside_its_range_exits_3(tmp_path, capsys, n_paths):
+    text = (CONFIGS / "stop_now.ini").read_text(encoding="utf-8")
+    assert "n_paths = 20000" in text
+    cfg = _cfg(tmp_path, text.replace("n_paths = 20000", f"n_paths = {n_paths}"))
+    capsys.readouterr()
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[mc] n_paths must be in [1, 10**7]" in err
+    assert err.count("\n") == 1
+    top = _cfg(tmp_path, text.replace("n_paths = 20000", "n_paths = 10000000"), "top.ini")
+    assert build_instance(load_config(top), str(tmp_path)).n_paths == 10 ** 7
+
+
 # ----------------------------------------------------------------------
 # shipped configs
 

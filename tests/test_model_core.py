@@ -119,6 +119,21 @@ def test_coefficient_rejects_bad_params():
         CoefficientFn("nope", (1.0,))
 
 
+@pytest.mark.parametrize("space", [
+    CoefficientFn.constant(-0.0),
+    CoefficientFn.affine(-0.0, 2.0),
+    CoefficientFn.tabulated([-1.0, 0.0, 1.0], [np.inf, -0.0, -3.0]),
+], ids=["constant", "affine", "tabulated"])
+def test_time_constant_field_is_its_space_factor_bitwise(space):
+    # the missing time factor is 1.0, and 1.0 * s has the bits of s
+    x = np.array([-0.0, 0.0, 0.5, -2.0, np.inf, -np.inf, np.nan])
+    want = space(x)
+    for t in (0.0, 0.37, np.float64(1.0)):
+        got = ProductField(space)(t, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # generator stencils
 

@@ -163,6 +163,14 @@ def test_value_function_on_wrong_grid_raises():
         simulate_paths(model2, other, v, m02, 10, seed=0)
 
 
+def test_initial_measure_on_wrong_grid_raises():
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=10, J=8)
+    model = constant_model(0.0, 0.3)
+    m0 = InitialMeasure.from_masses(np.ones(5) / 5)
+    with pytest.raises(ShapeMismatch):
+        simulate_paths(model, grid, None, m0, 10, seed=0)
+
+
 def test_needs_at_least_one_path():
     grid, model, P, m0 = make_instance()
     with pytest.raises(ValidationError):
@@ -179,6 +187,14 @@ def test_seed_outside_the_philox_keys_raises(seed):
 
 def _oracle_case(name):
     """(model, grid, v, m0) of one case of the whole-block comparison."""
+    if name == "wide-domain":
+        # _bump_instance's domain and start; paths right of 1.2 stop, the
+        # rest drift to the left wall and reach it one by one, so many
+        # steps have no path near a wall, and on some a path leaves while
+        # none is near
+        grid, _, _, m0, _ = _bump_instance(30, 25)
+        stop = np.tile(grid.x > 1.2, (grid.K + 1, 1))
+        return constant_model(-3.0, 0.5), grid, ValueFunction(np.zeros(stop.shape), stop, 1e-12), m0
     grid, model, P, m0 = make_instance(K=30, J=25, sigma=0.3)
     if name == "stop-rule":
         f = np.tile(grid.x - 0.7, (grid.K + 1, 1))  # stop on the right, absorb on the left
@@ -193,7 +209,8 @@ def _oracle_case(name):
     return model, grid, None, m0
 
 
-@pytest.mark.parametrize("name", ["never-stop", "stop-rule", "space-sigma", "time-sigma"])
+@pytest.mark.parametrize("name", ["never-stop", "stop-rule", "space-sigma", "time-sigma",
+                                  "wide-domain"])
 def test_streamed_paths_equal_the_whole_block_oracle(name):
     # 2*BLOCK + 3 paths: three blocks, the last of 3 paths, and bridge
     # rows that start at outputs k*n_paths with k*n_paths % 4 != 0
