@@ -180,17 +180,19 @@ def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,
     sq = np.sqrt(dt)
     near_dt = 20.0 * dt
     sigma, mu = model.sigma, model.mu
+    # a live path has a < x < b, so rint((x - a) / dx) lies in [0, J + 1]:
+    # padding the stop rule and the counts with a copy of their edge
+    # columns stands in for clamping the index to the interior nodes
+    stop = None if v is None else np.pad(v.stop_mask, ((0, 0), (1, 1)), mode="edge")
+    counts = np.zeros((K + 1, J + 2), dtype=np.intp)
     ids = np.arange(len(x))  # the block's paths still in the game
     stopped = 0
     survived = 0
     for k in range(K + 1):
-        # nearest interior node: np.clip(., 1, J) - 1, without its dispatch cost
-        idx = np.rint((x - a) / dx).astype(np.intp)
-        np.maximum(idx, 1, out=idx)
-        np.minimum(idx, J, out=idx)
-        idx -= 1
-        if v is not None:
-            hit = v.stop_mask[k][idx]
+        xa = x - a
+        idx = np.rint(xa / dx).astype(np.intp)
+        if stop is not None:
+            hit = stop[k][idx]
             n_hit = int(np.count_nonzero(hit))
             if n_hit:
                 if k == K:
@@ -198,10 +200,10 @@ def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,
                 else:
                     stopped += n_hit
                 go = ~hit
-                ids, x, idx = ids[go], x[go], idx[go]
+                ids, x, xa, idx = ids[go], x[go], xa[go], idx[go]
         if len(ids) == 0:
             break
-        tallies[k] += np.bincount(idx, minlength=J)
+        counts[k] += np.bincount(idx, minlength=J + 2)
         if k == K:
             survived += len(ids)
             break
@@ -210,15 +212,21 @@ def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,
         s2 = sig * sig
         # noise[k][ids] gathers as noise[k, ids] does, at a third of the cost
         x1 = x + mu(t_k, x) * dt + sig * sq * noise[k][ids]
-        keep = (x1 > a) & (x1 < b)
-        da = (x - a) * (x1 - a)
-        db = (b - x) * (b - x1)
+        x1a = x1 - a
+        bx1 = b - x1
+        keep = np.minimum(x1a, bx1) > 0.0  # a < x1 < b; False for NaN
+        da = xa * x1a
+        db = (b - x) * bx1
         near = (keep & (np.minimum(da, db) < near_dt * s2.max())).nonzero()[0]
         if len(near):
             rate = -2.0 / (dt * s2[near])
-            survive = -np.expm1(rate * da[near]) * -np.expm1(rate * db[near])
+            # (-e1) * (-e2) rounds exactly as e1 * e2 does
+            survive = np.expm1(rate * da[near]) * np.expm1(rate * db[near])
             keep[near[uniforms(k, ids[near]) < 1.0 - survive]] = False
         ids, x = ids[keep], x1[keep]
+    tallies += counts[:, 1:-1]
+    tallies[:, 0] += counts[:, 0]
+    tallies[:, -1] += counts[:, -1]
     return stopped, survived
 
 
@@ -228,11 +236,10 @@ def _seek(bitgen: np.random.Philox, base: dict, pos: int) -> None:
     Philox makes four outputs per counter value and increments the
     counter before it refills an empty buffer, so output pos is reached
     from base's counter with its low word set to pos // 4, an empty
-    buffer and pos % 4 outputs discarded.  base's low counter word must
-    be 0, as it is for Philox(seed) and its jumps.
+    buffer and pos % 4 outputs discarded.  base must have an empty
+    buffer and, before the first seek, a low counter word of 0, as
+    Philox(seed) and its jumps do; the seek overwrites that word.
     """
-    counter = base["state"]["counter"].copy()
-    counter[0] = pos // 4
-    bitgen.state = {**base, "state": {**base["state"], "counter": counter},
-                    "buffer_pos": 4}
+    base["state"]["counter"][0] = pos // 4
+    bitgen.state = base
     bitgen.random_raw(pos % 4)
