@@ -19,8 +19,11 @@ of m0 depends only on the stop mask, so a ``PushCache`` keyed by the
 exact mask returns a recurring rule's (family, ledger) without pushing
 again, bitwise equal to a fresh push.  To bound memory it keeps a push
 only once its rule has recurred among the last few best responses, and
-at most three of them; the best iterate keeps no best-response family,
-which pays for one of them.
+at most three of them.  The best iterate keeps only its family and
+moment paths: when it is not the last iterate evaluated (only possible
+when the iteration budget runs out), its reward and value grid are
+recomputed at exit, bit for bit, so the loop never holds a second value
+grid and reward.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
     pushes = PushCache(ctx)
     start = time.perf_counter()
 
-    best = None  # (eps, m, value_fn, f_grid, ys)
+    best = None  # (eps, m, ys)
     converged = False
     iterations = 0
     while True:
@@ -310,27 +313,38 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         if not np.isfinite(eps):
             raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
                               "the reward or its pairing is not finite")
-        if best is None or eps < best[0]:
-            best = (eps, m, br.value_fn, br.f_grid, ys)
+        last_is_best = best is None or eps < best[0]
+        if last_is_best:
+            best = (eps, m, ys)
         if eps <= eps_tol:
             converged = True
             break
         if iterations >= max_iters:
             break
-        rho = line_search(spec, m, br.family, ctx.dt, f=br.f_grid, ys=ys)
+        # keep only the family past this point, so that neither the line
+        # search's temporaries nor the next best_response run with this
+        # response's value grid still live (peak memory)
+        fam, f, br = br.family, br.f_grid, None
+        rho = line_search(spec, m, fam, ctx.dt, f=f, ys=ys)
+        f = None
         mom = ys[0] if ys else np.zeros(grid.K + 1)
         trace.append(potential_value(spec, m, ctx.dt, ys=ys), eps, rho, mom,
                      time.perf_counter() - start)
-        m = convex_combine(m, br.family, rho)
-        # release this response unless best or the cache holds its parts,
-        # so that the next best_response does not run with it still live
-        # (peak memory)
-        br = None
+        m = convex_combine(m, fam, rho)
+        fam = None
         iterations += 1
 
-    # on convergence the last iterate is the best one, since every earlier
-    # exploitability exceeded eps_tol
-    eps, m, v, f, ys = best
+    # the best iterate keeps no grid but its family; on convergence it is
+    # the last one evaluated, whose response is still live, since every
+    # earlier exploitability exceeded eps_tol
+    eps, m, ys = best
+    v, f = (br.value_fn, br.f_grid) if last_is_best else (None, None)
+    br = pushes = None  # before the grids built below (peak memory)
+    if v is None:
+        # an earlier iterate: the computation best_response ran on it,
+        # so the same bits
+        f = evaluate_reward(spec, m, ys=ys)
+        v = solve_vi(f, ctx.transition, ctx.dt)
 
     return FixedPointResult(
         m_star=m,

@@ -407,19 +407,21 @@ class TransitionSlice:
             raise ValidationError(
                 "I - dt*A has a row sum that is not positive; "
                 "A is not a valid absorbing generator")
-        # bands of M = I - dt*A
-        self._m_lower = -dt * A.lower
-        self._m_diag = 1.0 - dt * A.diag
-        self._m_upper = -dt * A.upper
+        # bands of M = I - dt*A; only the closed forms of n <= 2 keep them,
+        # LAPACK's factors replace them otherwise
+        m_lower = -dt * A.lower
+        m_diag = 1.0 - dt * A.diag
+        m_upper = -dt * A.upper
+        if self.n <= 2:
+            self._m_lower, self._m_diag, self._m_upper = m_lower, m_diag, m_upper
         if self.n == 2:
             # LAPACK's gttrf wrapper rejects n=2; Cramer is exact here
-            self._det = (self._m_diag[0] * self._m_diag[1]
-                         - self._m_upper[0] * self._m_lower[0])
+            self._det = m_diag[0] * m_diag[1] - m_upper[0] * m_lower[0]
             if self._det == 0.0:
                 raise SingularSystem("2x2 step matrix is singular")
         elif self.n > 2:
-            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (self._m_diag,))
-            dl, d, du, du2, ipiv, info = gttrf(self._m_lower, self._m_diag, self._m_upper)
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (m_diag,))
+            dl, d, du, du2, ipiv, info = gttrf(m_lower, m_diag, m_upper)
             if info != 0:
                 raise SingularSystem(f"tridiagonal factorization failed (info={info})")
             self._factor = (dl, d, du, du2, ipiv)
@@ -479,9 +481,17 @@ class TransitionOperator:
         if self.slice_map.min() < 0 or self.slice_map.max() >= len(self.slices):
             raise ValidationError("slice_map references missing slices")
         self.grid = grid
-        # (slice, the steps that use it), for the whole-family pushes
-        self._steps = [(s, steps) for i, s in enumerate(self.slices)
-                       if (steps := np.flatnonzero(self.slice_map == i)).size]
+        # (slice, the steps that use it), for the whole-family pushes; a
+        # run of consecutive steps is kept as a slice, so that rows[steps]
+        # is a view and not a copy
+        self._steps = []
+        for i, s in enumerate(self.slices):
+            steps = np.flatnonzero(self.slice_map == i)
+            if not steps.size:
+                continue
+            if steps[-1] - steps[0] + 1 == steps.size:
+                steps = slice(steps[0], steps[-1] + 1)
+            self._steps.append((s, steps))
 
     @classmethod
     def homogeneous(cls, slice_: TransitionSlice, K: int,

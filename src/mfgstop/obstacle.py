@@ -80,7 +80,10 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunct
     v = np.zeros((K + 1, J))
     for k in range(K - 1, -1, -1):
         v[k] = np.maximum(0.0, dt * f[k] + P.apply(k, v[k + 1]))
-    vmax = float(np.abs(v).max())
+    # every entry is >= 0 or NaN (np.maximum propagates NaN), so this is
+    # max |v| up to the sign of a zero, which 1.0 + vmax does not see, and
+    # needs no full-grid temporary
+    vmax = float(v.max())
     if not np.isfinite(vmax):
         raise SolverError(f"value function is not finite (max |v| = {vmax})")
     tol_zero = _TOL_ZERO_REL * (1.0 + vmax)

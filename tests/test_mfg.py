@@ -8,6 +8,7 @@ line search) and the small dense LP (checks exploitability).
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,36 @@ def test_fixed_point_budget_exhaustion_returns_best_iterate():
     # the reported gap is the gap of the measure actually returned
     again = best_response(spec, res.m_star, ctx).exploitability
     assert again == pytest.approx(res.exploitability, abs=1e-13, rel=1e-12)
+
+
+def test_fixed_point_budget_exhaustion_recomputes_an_earlier_best_bitwise():
+    # the best iterate keeps no value grid or reward: when it is not the
+    # last one evaluated they are recomputed at exit
+    grid, model, P, m0, spec, ctx = congestion_instance(J=30, K=30)
+    res = fixed_point_solve(spec, ctx, max_iters=8, eps_tol=1e-13)
+    assert not res.converged
+    assert res.exploitability in res.trace.exploitability
+    f = evaluate_reward(spec, res.m_star)
+    v = solve_vi(f, P, grid.dt)
+    np.testing.assert_array_equal(res.f_star, f)
+    np.testing.assert_array_equal(res.v_star.values, v.values)
+    np.testing.assert_array_equal(res.v_star.stop_mask, v.stop_mask)
+    assert res.v_star.tol_zero == v.tol_zero
+
+
+def test_fixed_point_working_set_stays_under_seven_grids():
+    # a (K+1) x J grid is 8 (K+1) J bytes; the loop holds the iterate,
+    # the best iterate, the response's reward, value grid and family, the
+    # push cache and a pairing temporary
+    grid, model, P, m0, spec, ctx = congestion_instance(J=200, K=200)
+    tracemalloc.start()
+    try:
+        res = fixed_point_solve(spec, ctx, eps_tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 7 * (grid.K + 1) * grid.J * 8
 
 
 def test_equilibrium_maximizes_potential(congestion_solution):

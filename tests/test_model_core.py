@@ -326,6 +326,22 @@ def test_batched_pushes_match_per_step_bitwise(P):
     assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
 
 
+@pytest.mark.parametrize("pattern", ["constant", "one-per-step", "alternating"])
+def test_batched_pushes_match_per_step_bitwise_for_slice_maps(pattern):
+    # runs of consecutive steps are pushed through a view of the rows,
+    # scattered steps through a gathered copy; both give per-step bits
+    K, n = 8, 20
+    slices = [TransitionSlice(_bands(n, 0.7, -2.0 - 0.1 * i, 0.9), 0.1) for i in range(K)]
+    slice_map = {"constant": [0] * K, "one-per-step": list(range(K)),
+                 "alternating": [k % 2 for k in range(K)]}[pattern]
+    P = TransitionOperator(slices, slice_map)
+    rows = np.random.default_rng(9).random((K, n))
+    each = np.array([P.apply(k, rows[k]) for k in range(K)])
+    each_adj = np.array([P.apply_adjoint(k, rows[k]) for k in range(K)])
+    assert np.array_equal(P.apply_each(rows), each)
+    assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
+
+
 def test_batched_pushes_reject_wrong_shape():
     P = _time_dependent_operator(5, 4)
     # a whole (K+1, n) family is not silently truncated to its first K rows
@@ -383,6 +399,26 @@ def test_time_dependent_build_keeps_no_dense_inverses():
         tracemalloc.stop()
     assert len(P.slices) == 400
     assert peak < 32 * 2**20
+
+
+def test_lapack_slices_keep_only_their_factors():
+    # per slice and node: the generator's 3 bands, LAPACK's 4 factor
+    # bands and a 4-byte pivot are 7.5 doubles; keeping the 3 bands of
+    # I - dt*A as well would make it 10.5
+    K = J = 300
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
+    model = DiffusionModel(
+        mu=ProductField(CoefficientFn.constant(0.0)),
+        sigma=ProductField(CoefficientFn.constant(0.5),
+                           time=CoefficientFn.affine(1.0, 0.5)))
+    tracemalloc.start()
+    try:
+        P = build_transition_operator(model, grid)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(P.slices) == K
+    assert retained <= 9 * K * J * 8
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from mfgstop import (
     InitialMeasure,
     MeasureFamily,
     ShapeMismatch,
+    SolverError,
     Tridiagonal,
     TransitionOperator,
     TransitionSlice,
@@ -70,6 +71,23 @@ def test_shape_mismatch():
     grid, model, P, m0 = make_instance()
     with pytest.raises(ShapeMismatch):
         solve_vi(np.zeros((2, 2)), P, grid.dt)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_value_is_refused(bad):
+    grid, model, P, m0 = make_instance()
+    f = np.zeros(grid.shape)
+    f[2, 3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
+        solve_vi(f, P, grid.dt)
+
+
+def test_zero_tolerance_scales_with_the_largest_value():
+    grid, model, P, m0 = make_instance()
+    f = np.random.default_rng(4).uniform(-1.0, 1.0, size=grid.shape)
+    v = solve_vi(f, P, grid.dt)
+    assert v.tol_zero == 1e-12 * (1.0 + float(np.abs(v.values).max()))
+    assert solve_vi(-np.ones(grid.shape), P, grid.dt).tol_zero == 1e-12
 
 
 def test_recursion_exact_at_continue_nodes():
