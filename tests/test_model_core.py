@@ -317,27 +317,15 @@ def _time_dependent_operator(K, J):
     TransitionOperator.homogeneous(TransitionSlice(_bands(3, 0.7, -2.0, 0.9), 0.1), 6),
     TransitionOperator.homogeneous(TransitionSlice(_bands(50, 0.7, -2.0, 0.9), 0.1), 6),
     _time_dependent_operator(7, 50),
-], ids=["n1", "n2", "n3", "n50", "time-dependent"])
+    # two slices taking turns: neither one's steps form a run
+    TransitionOperator([TransitionSlice(_bands(20, 0.7, -2.0, 0.9), 0.1),
+                        TransitionSlice(_bands(20, 0.3, -1.5, 0.6), 0.1)],
+                       [k % 2 for k in range(7)]),
+], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating"])
 def test_batched_pushes_match_per_step_bitwise(P):
     rows = np.random.default_rng(8).random((P.K, P.n))
     each = np.array([P.apply(k, rows[k]) for k in range(P.K)])
     each_adj = np.array([P.apply_adjoint(k, rows[k]) for k in range(P.K)])
-    assert np.array_equal(P.apply_each(rows), each)
-    assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
-
-
-@pytest.mark.parametrize("pattern", ["constant", "one-per-step", "alternating"])
-def test_batched_pushes_match_per_step_bitwise_for_slice_maps(pattern):
-    # runs of consecutive steps are pushed through a view of the rows,
-    # scattered steps through a gathered copy; both give per-step bits
-    K, n = 8, 20
-    slices = [TransitionSlice(_bands(n, 0.7, -2.0 - 0.1 * i, 0.9), 0.1) for i in range(K)]
-    slice_map = {"constant": [0] * K, "one-per-step": list(range(K)),
-                 "alternating": [k % 2 for k in range(K)]}[pattern]
-    P = TransitionOperator(slices, slice_map)
-    rows = np.random.default_rng(9).random((K, n))
-    each = np.array([P.apply(k, rows[k]) for k in range(K)])
-    each_adj = np.array([P.apply_adjoint(k, rows[k]) for k in range(K)])
     assert np.array_equal(P.apply_each(rows), each)
     assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
 
