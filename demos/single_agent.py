@@ -36,7 +36,7 @@ def main() -> None:
     f = np.tile(1.44 - grid.x ** 2, (grid.K + 1, 1))
 
     v = solve_vi(f, P, grid.dt)
-    family, ledger = stopped_forward_measure(v, m0, P)
+    family, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     value = value_at_initial(v, m0)
     paired = pair(f, family, grid.dt)
 

@@ -400,10 +400,11 @@ def _write_ledger(out_dir: str, ledger) -> None:
 
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
     br = best_response(inst.spec, inst.zero_family(), inst.ctx)
-    value = value_at_initial(br.value_fn, inst.m0)
+    v = solve_vi(br.f_grid, inst.transition, inst.grid.dt)
+    value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(br.f_grid, br.family, inst.grid.dt))
 
-    _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, br.value_fn.values))
+    _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, v.values))
     _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, br.family.masses))
     _write_ledger(out_dir, br.ledger)
     summary = _write_summary(out_dir, value, 0, 0.0, gap, br.ledger)
@@ -523,7 +524,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
                 f"stop integral {comp.stop_region_integral:.3e}, "
                 f"continuation residual {comp.continuation_residual:.3e}")
 
-    forward, _ = stopped_forward_measure(v, inst.m0, inst.transition)
+    forward, _ = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
@@ -582,7 +583,7 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     P = inst.transition
     fine = TransitionOperator([_SubsteppedSlice(s.A, grid.dt) for s in P.slices],
                               P.slice_map)
-    exact_tot = stopped_forward_measure(v, inst.m0, fine)[0].slice_totals()
+    exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine)[0].slice_totals()
 
     mc_seed = inst.mc_seed if seed is None else seed
     mc = simulate_paths(inst.model, grid, v, inst.m0, inst.n_paths, mc_seed)

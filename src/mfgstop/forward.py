@@ -62,34 +62,38 @@ class MassLedger:
                    - self.surviving)
 
 
-def stopped_forward_measure(v: ValueFunction | None, m0: InitialMeasure,
+def stopped_forward_measure(stop_mask: np.ndarray | None, m0: InitialMeasure,
                             P: TransitionOperator) -> tuple[MeasureFamily, MassLedger]:
     """Push m0 through the chain, removing mass on the stop region.
 
+    stop_mask is a value function's (K+1, J) stop classification
+    (``ValueFunction.stop_mask``), the only part of it the push reads.
     Stopping is applied before the transition at each slice: mass
     arriving on a stop node at slice k never collects reward there and
-    never moves again.  Every push is clamped at 0.  v=None never stops:
-    the family is the chain of m0 killed only at the boundary, which
-    dominates every admissible family componentwise.  Conservation
-    (initial = stopped + absorbed + surviving) holds to near machine
-    precision and is asserted.
+    never moves again.  Every push is clamped at 0.  stop_mask=None
+    never stops: the family is the chain of m0 killed only at the
+    boundary, which dominates every admissible family componentwise.
+    Conservation (initial = stopped + absorbed + surviving) holds to near
+    machine precision and is asserted.
     """
     K, J = P.K, P.n
-    if len(m0.masses) != J or (v is not None and v.values.shape != (K + 1, J)):
-        raise ShapeMismatch("value grid, operator, and m0 disagree on shape")
-    cont = np.ones((K + 1, J), dtype=bool) if v is None else ~v.stop_mask
+    if len(m0.masses) != J or (stop_mask is not None and stop_mask.shape != (K + 1, J)):
+        raise ShapeMismatch("stop mask, operator, and m0 disagree on shape")
     out = np.empty((K + 1, J))
-    stopped = np.empty(K + 1)
+    stopped = np.zeros(K + 1)
     absorbed = np.empty(K)
 
-    arriving = m0.masses
-    stopped[0] = arriving @ ~cont[0]
-    out[0] = arriving * cont[0]
+    out[0] = m0.masses
+    if stop_mask is not None:
+        stopped[0] = m0.masses @ stop_mask[0]
+        out[0] *= ~stop_mask[0]
     for k in range(K):
-        pushed = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
-        absorbed[k] = out[k].sum() - pushed.sum()
-        stopped[k + 1] = pushed @ ~cont[k + 1]
-        out[k + 1] = pushed * cont[k + 1]
+        row = out[k + 1]
+        np.maximum(P.apply_adjoint(k, out[k]), 0.0, out=row)
+        absorbed[k] = out[k].sum() - row.sum()
+        if stop_mask is not None:
+            stopped[k + 1] = row @ stop_mask[k + 1]
+            row *= ~stop_mask[k + 1]
 
     family = MeasureFamily(out, grid=P.grid, validate=False)
     ledger = MassLedger(initial=m0.total, stopped_per_step=stopped,
@@ -113,7 +117,9 @@ def measure_ledger(m: MeasureFamily, m0: InitialMeasure,
     """
     A = m.masses
     totals = A.sum(axis=1)
-    pushed = P.apply_adjoint_each(A[:-1]).sum(axis=1)
+    pushed = np.empty(P.K)
+    for steps, block in P.adjoint_blocks(A[:-1]):
+        pushed[steps] = block.sum(axis=1)
     return MassLedger(initial=m0.total,
                       stopped_per_step=np.append(m0.total, pushed) - totals,
                       absorbed_per_step=totals[:-1] - pushed,

@@ -254,7 +254,7 @@ def random_admissible_measure(P: TransitionOperator, m0: InitialMeasure,
     for _ in range(n_mix):
         f = rng.normal(size=(K + 1, J))
         v = solve_vi(f, P, grid.dt)
-        fam, _ = stopped_forward_measure(v, m0, P)
+        fam, _ = stopped_forward_measure(v.stop_mask, m0, P)
         parts.append(fam)
     if rng.random() < 0.3:
         parts.append(MeasureFamily.zeros(K, J, grid=grid))

@@ -14,10 +14,12 @@ import numpy as np
 
 from .errors import ShapeMismatch, ValidationError
 from .model_core import (
+    _BLOCK,
     CoefficientFn,
     InitialMeasure,
     SpaceTimeGrid,
     TransitionOperator,
+    _row_blocks,
 )
 
 __all__ = [
@@ -30,6 +32,28 @@ __all__ = [
 ]
 
 _NEG_TOL = 1e-10
+
+
+def _block_sum(term, lo: int, hi: int) -> float:
+    """np.add.reduce(term(lo, hi)), bit for bit, with no array longer
+    than _BLOCK.
+
+    term(i, j) returns elements i..j-1 of a 1-D array of summands.
+    numpy sums a contiguous array pairwise: it halves a range, rounding
+    the split down to a multiple of 8, until a range has at most 128
+    elements (Higham, SIAM J. Sci. Comput. 14, 1993).  This recursion
+    makes the same splits and hands ranges of at most _BLOCK elements to
+    numpy, so it builds the same tree of additions.  It is a module
+    function, not a closure over itself: a self-referencing closure is a
+    reference cycle that keeps its arrays alive until the cyclic
+    collector runs.
+    """
+    n = hi - lo
+    if n <= _BLOCK:
+        return np.add.reduce(term(lo, hi))
+    half = n // 2
+    half -= half % 8
+    return _block_sum(term, lo, lo + half) + _block_sum(term, lo + half, hi)
 
 
 @dataclass
@@ -108,11 +132,18 @@ def is_admissible(m: MeasureFamily, m0: InitialMeasure, P: TransitionOperator,
         j = int(np.argmax(excess0))
         worst, where, kind = float(excess0.max()), (0, j), "initial_bound"
 
-    excess = A[1:] - P.apply_adjoint_each(A[:-1])
-    excess[np.isnan(excess)] = np.inf  # NaN compares false; count it as unbounded
-    k, j = np.unravel_index(np.argmax(excess), excess.shape)
-    if excess[k, j] > worst:
-        worst, where, kind = float(excess[k, j]), (int(k) + 1, int(j)), "chain_bound"
+    # the largest chain excess and its first (k, j) in row-major order,
+    # as np.argmax over the whole (K, J) excess would find them
+    top, at = -np.inf, None
+    for steps, pushed in P.adjoint_blocks(A[:-1]):
+        excess = A[1:][steps] - pushed
+        excess[np.isnan(excess)] = np.inf  # NaN compares false; count it as unbounded
+        i, j = np.unravel_index(np.argmax(excess), excess.shape)
+        k = int(steps.start + i if isinstance(steps, slice) else steps[i])
+        if at is None or excess[i, j] > top or (excess[i, j] == top and (k, j) < at):
+            top, at = excess[i, j], (k, int(j))
+    if top > worst:
+        worst, where, kind = float(top), (at[0] + 1, at[1]), "chain_bound"
 
     return AdmissibilityReport(ok=bool(worst <= tol), worst_violation=worst,
                                where=where, kind=kind)
@@ -123,11 +154,17 @@ def moment(m: MeasureFamily, g: CoefficientFn) -> np.ndarray:
 
     Each slice's contributions are summed by numpy's row reduction, with
     no BLAS call, so the result depends only on the masses and g and
-    repeats bit for bit.
+    repeats bit for bit.  Rows go a block at a time, which sums each
+    row as the whole-family reduction does.
     """
     if m.grid is None:
         raise ValidationError("moment needs a measure family with a grid")
-    return np.add.reduce(m.masses * g(m.grid.x)[None, :], axis=1)
+    A = m.masses
+    gx = g(m.grid.x)
+    out = np.empty(A.shape[0])
+    for rows in _row_blocks(*A.shape):
+        out[rows] = np.add.reduce(A[rows] * gx, axis=1)
+    return out
 
 
 def pair(f_grid: np.ndarray, m: MeasureFamily, dt: float) -> float:
@@ -135,19 +172,28 @@ def pair(f_grid: np.ndarray, m: MeasureFamily, dt: float) -> float:
 
     The final slice carries no dt weight, which makes this pairing the
     exact linear-programming objective dual to the backward recursion.
+    The sum is np.sum(f[:K] * m[:K]) bit for bit, without the product
+    grid.
     """
     f = np.asarray(f_grid, dtype=float)
     if f.shape != m.masses.shape:
         raise ShapeMismatch(f"reward grid {f.shape} vs family {m.masses.shape}")
     K = m.K
-    return float(dt * np.sum(f[:K] * m.masses[:K]))
+    a, b = np.ravel(f[:K]), np.ravel(m.masses[:K])
+    return float(dt * _block_sum(lambda i, j: a[i:j] * b[i:j], 0, a.size))
 
 
 def convex_combine(m1: MeasureFamily, m2: MeasureFamily, rho: float) -> MeasureFamily:
-    """Componentwise (1 - rho) * m1 + rho * m2 for rho in [0, 1]."""
+    """Componentwise (1 - rho) * m1 + rho * m2 for rho in [0, 1].
+
+    rho * m2 is added a block of rows at a time, so the only full grid
+    made is the result.
+    """
     if not (0.0 <= rho <= 1.0):
         raise ValidationError(f"rho must lie in [0, 1], got {rho}")
     if m1.masses.shape != m2.masses.shape:
         raise ShapeMismatch("families must share a shape")
-    out = (1.0 - rho) * m1.masses + rho * m2.masses
+    out = (1.0 - rho) * m1.masses
+    for rows in _row_blocks(*out.shape):
+        out[rows] += rho * m2.masses[rows]
     return MeasureFamily(out, grid=m1.grid or m2.grid, validate=False)

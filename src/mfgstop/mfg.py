@@ -19,11 +19,12 @@ of m0 depends only on the stop mask, so a ``PushCache`` keyed by the
 exact mask returns a recurring rule's (family, ledger) without pushing
 again, bitwise equal to a fresh push.  To bound memory it keeps a push
 only once its rule has recurred among the last few best responses, and
-at most three of them.  The best iterate keeps only its family and
-moment paths: when it is not the last iterate evaluated (only possible
-when the iteration budget runs out), its reward and value grid are
-recomputed at exit, bit for bit, so the loop never holds a second value
-grid and reward.
+at most three of them.  The loop holds no value grid: a best response
+keeps only the stop mask of its obstacle problem, and the best iterate
+only its family and moment paths.  At exit the value grid of the best
+iterate, and its reward when it is not the last iterate evaluated (only
+possible when the iteration budget runs out), are recomputed, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .model_core import (
     InitialMeasure,
     SpaceTimeGrid,
     TransitionOperator,
+    _row_blocks,
 )
 from .obstacle import ValueFunction, solve_vi, value_at_initial
 from .reward import (
@@ -84,7 +86,6 @@ class ModelContext:
 @dataclass(frozen=True)
 class BestResponse:
     family: MeasureFamily
-    value_fn: ValueFunction
     f_grid: np.ndarray
     ledger: MassLedger
     exploitability: float
@@ -93,12 +94,12 @@ class BestResponse:
 class PushCache:
     """Forward pushes of recurring stop rules, for one context.
 
-    The push of ctx.m0 through ctx.transition under a value function
-    depends only on its stop mask, so the exact mask (packed bits, not a
-    hash) is the key.  A push is stored only when its mask is among the
-    last WINDOW masks seen; at most CAP are held (measured atom sets have
-    1-3 members), and the least recently used one goes first.  A hit
-    hands out the stored arrays, which nobody writes to.
+    The push of ctx.m0 through ctx.transition depends only on the stop
+    mask, so the exact mask (packed bits, not a hash) is the key.  A push
+    is stored only when its mask is among the last WINDOW masks seen; at
+    most CAP are held (measured atom sets have 1-3 members), and the
+    least recently used one goes first.  A hit hands out the stored
+    arrays, which nobody writes to.
     """
 
     CAP = 3
@@ -109,13 +110,13 @@ class PushCache:
         self.pushes: OrderedDict[bytes, tuple[MeasureFamily, MassLedger]] = OrderedDict()
         self.recent: deque[bytes] = deque(maxlen=self.WINDOW)
 
-    def push(self, v: ValueFunction) -> tuple[MeasureFamily, MassLedger]:
-        key = np.packbits(v.stop_mask).tobytes()
+    def push(self, stop_mask: np.ndarray) -> tuple[MeasureFamily, MassLedger]:
+        key = np.packbits(stop_mask).tobytes()
         out = self.pushes.get(key)
         if out is not None:
             self.pushes.move_to_end(key)
         else:
-            out = stopped_forward_measure(v, self.ctx.m0, self.ctx.transition)
+            out = stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)
             if key in self.recent:
                 self.pushes[key] = out
                 if len(self.pushes) > self.CAP:
@@ -132,16 +133,17 @@ def best_response(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext,
     Its exploitability is the value a single deviating agent gains by
     playing it against m.  ys, if given, must be ``moment_paths(spec, m)``;
     pushes, if given, must be a ``PushCache`` of ctx, and the push is
-    taken from it."""
+    taken from it.  Only the stop mask of the value function is kept,
+    so no value grid is live during the push and the pairings; its value
+    grid is ``solve_vi(f_grid, ctx.transition, ctx.dt)``."""
     f = evaluate_reward(spec, m, ys=ys)
-    v = solve_vi(f, ctx.transition, ctx.dt)
+    stop = solve_vi(f, ctx.transition, ctx.dt).stop_mask
     if pushes is None:
-        fam, ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
+        fam, ledger = stopped_forward_measure(stop, ctx.m0, ctx.transition)
     else:
-        fam, ledger = pushes.push(v)
+        fam, ledger = pushes.push(stop)
     eps = pair(f, fam, ctx.dt) - pair(f, m, ctx.dt)
-    return BestResponse(family=fam, value_fn=v, f_grid=f, ledger=ledger,
-                        exploitability=eps)
+    return BestResponse(family=fam, f_grid=f, ledger=ledger, exploitability=eps)
 
 
 _CONCAVITY_SLACK = 1e-8
@@ -171,7 +173,12 @@ def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
             if b == 0.0:
                 continue
             gy = g(grid.x)
-            delta = (m_tilde.masses[:K] - m.masses[:K]) @ gy
+            # (m_tilde - m)[:K] @ gy a block of rows at a time: each row's
+            # product is the whole-grid matrix-vector call's, as long as
+            # BLAS groups the rows alike (see _row_blocks)
+            delta = np.empty(K)
+            for rows in _row_blocks(K, m.J):
+                delta[rows] = (m_tilde.masses[rows] - m.masses[rows]) @ gy
             th = fbar.theta(grid.t[:K])
             curv += b * dt * float(np.sum(th * delta * delta))
         if curv <= 0.0:
@@ -321,9 +328,9 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
             break
         if iterations >= max_iters:
             break
-        # keep only the family past this point, so that neither the line
-        # search's temporaries nor the next best_response run with this
-        # response's value grid still live (peak memory)
+        # keep only the family past this point, and the reward only
+        # through the line search, so that the next best_response runs
+        # without this response's reward (peak memory)
         fam, f, br = br.family, br.f_grid, None
         rho = line_search(spec, m, fam, ctx.dt, f=f, ys=ys)
         f = None
@@ -335,16 +342,16 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         iterations += 1
 
     # the best iterate keeps no grid but its family; on convergence it is
-    # the last one evaluated, whose response is still live, since every
-    # earlier exploitability exceeded eps_tol
+    # the last one evaluated, whose reward is still live, since every
+    # earlier exploitability exceeded eps_tol.  Its value grid, and the
+    # reward of an earlier iterate, come from the computation
+    # best_response ran on it, so they have the same bits.
     eps, m, ys = best
-    v, f = (br.value_fn, br.f_grid) if last_is_best else (None, None)
+    f = br.f_grid if last_is_best else None
     br = pushes = None  # before the grids built below (peak memory)
-    if v is None:
-        # an earlier iterate: the computation best_response ran on it,
-        # so the same bits
+    if f is None:
         f = evaluate_reward(spec, m, ys=ys)
-        v = solve_vi(f, ctx.transition, ctx.dt)
+    v = solve_vi(f, ctx.transition, ctx.dt)
 
     return FixedPointResult(
         m_star=m,

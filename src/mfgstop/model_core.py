@@ -468,11 +468,33 @@ class TransitionSlice:
         return self.apply(np.ones(self.n))
 
 
+# Elements per block of a whole-grid computation done a block at a time:
+# a block's temporaries stay near 128 KiB at every grid size.
+_BLOCK = 1 << 14
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive runs of rows covering range(n_rows), about _BLOCK
+    elements each.
+
+    Every run but the last has a multiple of 8 rows, so a BLAS
+    matrix-vector kernel that handles rows in groups of 4 or 8 groups
+    them the same way in a run as in the whole array.  A threaded BLAS
+    call on the whole array that gives each thread a share of rows not a
+    multiple of 4 groups them otherwise (OpenBLAS splits the rows
+    evenly), and then its last bits depend on the thread count anyway.
+    """
+    step = max(8, _BLOCK // max(n_cols, 1) // 8 * 8)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
 class TransitionOperator:
     """Per-step transitions P_k, k = 0..K-1, sharing slices when possible.
 
     Time-homogeneous models store a single slice referenced by every step;
-    the *_each methods push a family with one solve per distinct slice.
+    the *_each methods push a family with one solve per distinct slice
+    and block of about _BLOCK elements.  gttrs solves each right-hand
+    side on its own, so a row's result does not depend on the block.
     """
 
     def __init__(self, slices, slice_map, grid: SpaceTimeGrid | None = None):
@@ -481,17 +503,17 @@ class TransitionOperator:
         if self.slice_map.min() < 0 or self.slice_map.max() >= len(self.slices):
             raise ValidationError("slice_map references missing slices")
         self.grid = grid
-        # (slice, the steps that use it), for the whole-family pushes; a
-        # run of consecutive steps is kept as a slice, so that rows[steps]
-        # is a view and not a copy
-        self._steps = []
+        # (slice, a block of the steps that use it), for the whole-family
+        # pushes; a run of consecutive steps is kept as a slice, so that
+        # rows[steps] is a view and not a copy
+        self._blocks = []
         for i, s in enumerate(self.slices):
             steps = np.flatnonzero(self.slice_map == i)
-            if not steps.size:
-                continue
-            if steps[-1] - steps[0] + 1 == steps.size:
-                steps = slice(steps[0], steps[-1] + 1)
-            self._steps.append((s, steps))
+            run = steps.size and steps[-1] - steps[0] + 1 == steps.size
+            for b in _row_blocks(steps.size, self.n):
+                if run:
+                    b = slice(steps[0] + b.start, steps[0] + b.stop)
+                self._blocks.append((s, b if run else steps[b]))
 
     @classmethod
     def homogeneous(cls, slice_: TransitionSlice, K: int,
@@ -519,12 +541,16 @@ class TransitionOperator:
     def apply_adjoint(self, k: int, m: np.ndarray) -> np.ndarray:
         return self.slice_at(k).apply_adjoint(m)
 
-    def _each(self, rows: np.ndarray, solve) -> np.ndarray:
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (self.K, self.n):
             raise ShapeMismatch(f"rows have shape {rows.shape}, expected {(self.K, self.n)}")
+        return rows
+
+    def _each(self, rows: np.ndarray, solve) -> np.ndarray:
+        rows = self._rows(rows)
         out = np.empty_like(rows)
-        for s, steps in self._steps:
+        for s, steps in self._blocks:
             out[steps] = solve(s, rows[steps].T).T
         return out
 
@@ -535,6 +561,17 @@ class TransitionOperator:
     def apply_adjoint_each(self, rows: np.ndarray) -> np.ndarray:
         """Row k is P_k^T @ rows[k], for k < K; rows has shape (K, n)."""
         return self._each(rows, TransitionSlice.apply_adjoint)
+
+    def adjoint_blocks(self, rows: np.ndarray):
+        """Iterate over (steps, pushed): pushed[i] is P_k^T @ rows[k] for
+        the i-th step k of steps, a block of about _BLOCK elements.
+
+        The blocks cover every k < K once, bitwise as apply_adjoint_each,
+        without holding a (K, n) result; steps is a slice or an
+        increasing index array.
+        """
+        rows = self._rows(rows)
+        return ((steps, s.apply_adjoint(rows[steps].T).T) for s, steps in self._blocks)
 
     def dense(self, k: int) -> np.ndarray:
         return self.slice_at(k).dense()

@@ -77,9 +77,16 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunct
     K, J = P.K, P.n
     if f.shape != (K + 1, J):
         raise ShapeMismatch(f"reward grid {f.shape}, expected {(K + 1, J)}")
-    v = np.zeros((K + 1, J))
+    # each row is built in place: dt f_k, plus P_k v_{k+1}, then the max
+    # with 0.0 as the first argument: on a tie of signed zeros the
+    # result of np.maximum depends on the argument order
+    v = np.empty((K + 1, J))
+    np.multiply(dt, f[:K], out=v[:K])
+    v[K] = 0.0
     for k in range(K - 1, -1, -1):
-        v[k] = np.maximum(0.0, dt * f[k] + P.apply(k, v[k + 1]))
+        row = v[k]
+        np.add(row, P.apply(k, v[k + 1]), out=row)
+        np.maximum(0.0, row, out=row)
     # every entry is >= 0 or NaN (np.maximum propagates NaN), so this is
     # max |v| up to the sign of a zero, which 1.0 + vmax does not see, and
     # needs no full-grid temporary

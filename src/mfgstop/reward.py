@@ -27,8 +27,14 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .measures import MeasureFamily, moment, pair
-from .model_core import CoefficientFn, InitialMeasure, ProductField, SpaceTimeGrid
+from .measures import MeasureFamily, _block_sum, moment, pair
+from .model_core import (
+    CoefficientFn,
+    InitialMeasure,
+    ProductField,
+    SpaceTimeGrid,
+    _row_blocks,
+)
 
 __all__ = [
     "FBarFn",
@@ -214,14 +220,18 @@ def evaluate_reward(spec: RewardSpec, m: MeasureFamily,
                     ys: list[np.ndarray] | None = None) -> np.ndarray:
     """Materialize f(t_k, x_j, m) on the grid for a given family.
 
-    ys, if given, must be ``moment_paths(spec, m)``.
+    ys, if given, must be ``moment_paths(spec, m)``.  Each term's outer
+    product is added a block of rows at a time, so the only full grid
+    made is f.
     """
     grid = _grid_of(spec, m, "evaluate_reward")
     if ys is None:
         ys = moment_paths(spec, m)
     f = np.zeros(grid.shape)
     for (fbar, g), y in zip(spec.terms, ys):
-        f += np.outer(fbar.f_bar(grid.t, y), g(grid.x))
+        fy, gx = fbar.f_bar(grid.t, y), g(grid.x)
+        for rows in _row_blocks(*f.shape):
+            f[rows] += np.outer(fy[rows], gx)
     h = spec.h_grid(grid)
     if h is not None:
         f += h
@@ -316,11 +326,14 @@ def directional_gain(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamily
     """dF/drho at rho = 0 along m + rho (m_target - m).
 
     Equals pair(f(., m), m_target - m) by the potential property.  f, if
-    given, must be ``evaluate_reward(spec, m)``.
+    given, must be ``evaluate_reward(spec, m)``.  The sum is
+    np.sum(f[:K] * (m_target[:K] - m[:K])) bit for bit, without the
+    difference and product grids.
     """
     if m.masses.shape != m_target.masses.shape:
         raise ShapeMismatch("families must share a shape")
     if f is None:
         f = evaluate_reward(spec, m)
     K = m.K
-    return float(dt * np.sum(f[:K] * (m_target.masses[:K] - m.masses[:K])))
+    a, b, c = (np.ravel(x[:K]) for x in (f, m_target.masses, m.masses))
+    return float(dt * _block_sum(lambda i, j: a[i:j] * (b[i:j] - c[i:j]), 0, a.size))

@@ -67,7 +67,7 @@ def _duality_runs():
             K = int(rng.choice(_SIZES))
             grid, model, P, m0, f = random_instance(rng, J=J, K=K)
             v = solve_vi(f, P, grid.dt)
-            family, ledger = stopped_forward_measure(v, m0, P)
+            family, ledger = stopped_forward_measure(v.stop_mask, m0, P)
             runs.append((grid, model, P, m0, f, v, family))
         _RUNS = runs
     return _RUNS

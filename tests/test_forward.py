@@ -39,7 +39,7 @@ def test_never_stopping_reproduces_all_continue():
         bar = never_stop_masses(m0, P)
         assert np.array_equal(m.masses, bar)
         # a value function with no stop node pushes the same family
-        same, _ = stopped_forward_measure(_never_stop_value(grid), m0, P)
+        same, _ = stopped_forward_measure(_never_stop_value(grid).stop_mask, m0, P)
         assert np.array_equal(same.masses, bar)
         assert not ledger.stopped_per_step.any()
         assert ledger.surviving == m.slice_totals()[-1]
@@ -49,7 +49,7 @@ def test_never_stopping_reproduces_all_continue():
 def test_zero_value_stops_all_mass_immediately():
     grid, model, P, m0 = make_instance(K=5, J=4)
     v = solve_vi(np.zeros(grid.shape), P, grid.dt)
-    m, ledger = stopped_forward_measure(v, m0, P)
+    m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     assert np.array_equal(m.masses, np.zeros(grid.shape))
     assert ledger.stopped_per_step[0] == pytest.approx(m0.total, abs=1e-15)
     assert ledger.total_absorbed == 0.0
@@ -62,7 +62,7 @@ def test_positive_reward_continues_until_horizon():
     grid, model, P, m0 = make_instance(K=6, J=5)
     v = solve_vi(np.ones(grid.shape), P, grid.dt)
     assert not v.stop_mask[: grid.K].any()
-    m, ledger = stopped_forward_measure(v, m0, P)
+    m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     bar = stopped_forward_measure(None, m0, P)[0]
     assert np.array_equal(m.masses[: grid.K], bar.masses[: grid.K])
     assert np.array_equal(m.masses[grid.K], np.zeros(grid.J))
@@ -76,7 +76,7 @@ def test_forward_measure_attains_dual_value():
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P, grid.dt)
-        m, ledger = stopped_forward_measure(v, m0, P)
+        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         dual = value_at_initial(v, m0)
         assert abs(pair(f, m, grid.dt) - dual) <= 1e-10 * (1.0 + abs(dual))
 
@@ -86,7 +86,7 @@ def test_output_admissible_dominated_and_supported():
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P, grid.dt)
-        m, ledger = stopped_forward_measure(v, m0, P)
+        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         assert is_admissible(m, m0, P, tol=1e-10).ok
         bar = stopped_forward_measure(None, m0, P)[0]
         assert np.all(m.masses <= bar.masses + 1e-12)
@@ -99,7 +99,7 @@ def test_ledger_conserves_mass():
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P, grid.dt)
-        m, ledger = stopped_forward_measure(v, m0, P)
+        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         assert ledger.conservation_gap <= 1e-12
         assert ledger.initial == m0.total
         assert np.all(ledger.stopped_per_step >= 0.0)
@@ -110,7 +110,7 @@ def test_measure_ledger_agrees_on_forward_output():
     rng = np.random.default_rng(44)
     grid, model, P, m0, f = random_instance(rng, J=8, K=6)
     v = solve_vi(f, P, grid.dt)
-    m, ledger = stopped_forward_measure(v, m0, P)
+    m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     other = measure_ledger(m, m0, P)
     assert np.allclose(other.stopped_per_step, ledger.stopped_per_step, atol=1e-13)
     assert np.allclose(other.absorbed_per_step, ledger.absorbed_per_step, atol=1e-13)
@@ -125,7 +125,7 @@ def test_measure_ledger_agrees_on_forward_output():
 def test_residual_zero_test_function():
     grid, model, P, m0 = make_instance()
     v = solve_vi(np.ones(grid.shape), P, grid.dt)
-    m, _ = stopped_forward_measure(v, m0, P)
+    m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     assert fokker_planck_residual(m, v, P, np.zeros(grid.shape), m0) == 0.0
 
 
@@ -133,7 +133,7 @@ def test_residual_small_on_forward_measure():
     rng = np.random.default_rng(45)
     grid, model, P, m0, f = random_instance(rng, J=10, K=8)
     v = solve_vi(f, P, grid.dt)
-    m, _ = stopped_forward_measure(v, m0, P)
+    m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     for _ in range(10):
         phi = random_test_function(v, grid, rng)
         scale = max(np.abs(phi).max(), 1e-30)
@@ -143,7 +143,7 @@ def test_residual_small_on_forward_measure():
 def test_residual_detects_deleted_mass():
     grid, model, P, m0 = make_instance(K=10, J=9)
     v = solve_vi(np.ones(grid.shape), P, grid.dt)
-    m, _ = stopped_forward_measure(v, m0, P)
+    m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     k0, j0 = grid.K // 2, grid.J // 2
     tb = CoefficientFn.gaussian_bump(1.0, grid.t[k0], 0.3 * grid.T)
     xb = CoefficientFn.gaussian_bump(1.0, grid.x[j0], 0.3 * (grid.b - grid.a))
@@ -160,7 +160,7 @@ def test_residual_detects_deleted_mass():
 def test_residual_rejects_bad_support():
     grid, model, P, m0 = make_instance()
     v = solve_vi(np.ones(grid.shape), P, grid.dt)
-    m, _ = stopped_forward_measure(v, m0, P)
+    m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     with pytest.raises(SupportViolation):
         fokker_planck_residual(m, v, P, np.ones(grid.shape), m0)
 

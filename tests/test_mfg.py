@@ -108,7 +108,8 @@ def test_best_response_ignores_crowd_when_decoupled():
 
     np.testing.assert_array_equal(br_a.f_grid, br_b.f_grid)
     np.testing.assert_array_equal(br_a.family.masses, br_b.family.masses)
-    np.testing.assert_array_equal(br_a.value_fn.values, br_b.value_fn.values)
+    np.testing.assert_array_equal(solve_vi(br_a.f_grid, P, grid.dt).values,
+                                  solve_vi(br_b.f_grid, P, grid.dt).values)
 
 
 def test_best_response_stops_at_once_when_reward_is_negative():
@@ -120,11 +121,11 @@ def test_best_response_stops_at_once_when_reward_is_negative():
 
     br = best_response(spec, stopped_forward_measure(None, m0, P)[0], ctx)
     assert np.all(br.f_grid < 0.0)
-    np.testing.assert_array_equal(br.value_fn.values,
-                                  np.zeros((grid.K + 1, grid.J)))
+    v = solve_vi(br.f_grid, P, grid.dt)
+    np.testing.assert_array_equal(v.values, np.zeros((grid.K + 1, grid.J)))
     np.testing.assert_array_equal(br.family.masses,
                                   np.zeros((grid.K + 1, grid.J)))
-    assert value_at_initial(br.value_fn, m0) == 0.0
+    assert value_at_initial(v, m0) == 0.0
     assert br.ledger.stopped_per_step.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -456,9 +457,9 @@ def _count_pushes(monkeypatch):
     calls = []
     real = mfgstop.mfg.stopped_forward_measure
 
-    def counted(v, m0, P):
-        calls.append(v)
-        return real(v, m0, P)
+    def counted(stop_mask, m0, P):
+        calls.append(stop_mask)
+        return real(stop_mask, m0, P)
 
     monkeypatch.setattr(mfgstop.mfg, "stopped_forward_measure", counted)
     return calls
@@ -467,8 +468,8 @@ def _count_pushes(monkeypatch):
 class _NeverHits(PushCache):
     """A push cache that always misses: every best response pushes m0."""
 
-    def push(self, v):
-        return mfgstop.mfg.stopped_forward_measure(v, self.ctx.m0, self.ctx.transition)
+    def push(self, stop_mask):
+        return mfgstop.mfg.stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)
 
 
 def _solve_without_cache(monkeypatch, spec, ctx, **kw):
@@ -512,8 +513,8 @@ def test_push_cache_leaves_the_solve_bitwise_unchanged(monkeypatch, game):
 
 
 def _masks(n_rules, K=6, J=5):
-    """A value function and n_rules variants of its stop mask, each
-    differing from the previous one in a single node."""
+    """n_rules variants of a value function's stop mask, each differing
+    from the previous one in a single node."""
     grid, model, P, m0 = make_instance(K=K, J=J)
     ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
     f = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
@@ -522,7 +523,7 @@ def _masks(n_rules, K=6, J=5):
     for i in range(n_rules):
         mask = mask.copy()
         mask[1 + i // J, i % J] ^= True
-        rules.append(dataclasses.replace(v, stop_mask=mask))
+        rules.append(mask)
     return ctx, rules
 
 

@@ -119,7 +119,7 @@ def test_path_statuses_must_partition_the_sample():
 
 def test_histogram_matches_chain_within_three_stderr():
     grid, model, P, m0, v = _bump_instance(60, 59)
-    fd = stopped_forward_measure(v, m0, P)[0].slice_totals()
+    fd = stopped_forward_measure(v.stop_mask, m0, P)[0].slice_totals()
     res = simulate_paths(model, grid, v, m0, 2000, seed=0)
     mc = res.family.slice_totals()
     se = np.sqrt(np.maximum(fd * (1.0 - fd), 1e-12) / 2000)
@@ -135,7 +135,7 @@ def test_refinement_shrinks_the_systematic_gap():
     gaps = []
     for K in (30, 60, 120):
         grid, model, P, m0, v = _bump_instance(K, K - 1)
-        fd = stopped_forward_measure(v, m0, P)[0].slice_totals()
+        fd = stopped_forward_measure(v.stop_mask, m0, P)[0].slice_totals()
         res = simulate_paths(model, grid, v, m0, 30000, seed=0)
         gaps.append(np.abs(res.family.slice_totals() - fd).max())
     assert gaps[0] > gaps[1] > gaps[2]

@@ -147,7 +147,7 @@ def test_strong_duality_with_forward_measure():
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P, grid.dt)
-        m, ledger = stopped_forward_measure(v, m0, P)
+        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         primal = pair(f, m, grid.dt)
         dual = value_at_initial(v, m0)
         assert abs(primal - dual) <= 1e-10 * (1.0 + abs(dual))
@@ -210,7 +210,7 @@ def test_complementarity_of_forward_measure():
     for _ in range(8):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P, grid.dt)
-        m, ledger = stopped_forward_measure(v, m0, P)
+        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         rep = complementarity_report(v, f, m, P, grid.dt)
         assert rep.stop_region_integral <= 1e-10
         assert rep.continuation_residual <= 1e-10
