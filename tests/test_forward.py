@@ -1,5 +1,7 @@
 """Stopped forward measure, its mass ledger, and the Fokker-Planck audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,57 @@ def test_never_stopping_reproduces_all_continue():
         assert not ledger.stopped_per_step.any()
         assert ledger.surviving == m.slice_totals()[-1]
         assert ledger.conservation_gap <= 1e-12
+
+
+def _continuation_push(stop_mask, m0, P):
+    """The push as a loop over the continuation mask ~stop_mask: the
+    reference the in-place form must match byte for byte."""
+    cont = ~stop_mask
+    out = np.empty((P.K + 1, P.n))
+    stopped = np.empty(P.K + 1)
+    absorbed = np.empty(P.K)
+    stopped[0] = m0.masses @ ~cont[0]
+    out[0] = m0.masses * cont[0]
+    for k in range(P.K):
+        pushed = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
+        absorbed[k] = out[k].sum() - pushed.sum()
+        stopped[k + 1] = pushed @ ~cont[k + 1]
+        out[k + 1] = pushed * cont[k + 1]
+    return out, stopped, absorbed
+
+
+def test_push_matches_the_continuation_mask_loop_bytewise():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        grid, model, P, m0, f = random_instance(rng)
+        for stop in (solve_vi(f, P, grid.dt).stop_mask, rng.random(grid.shape) < 0.3,
+                     np.zeros(grid.shape, dtype=bool)):
+            m, ledger = stopped_forward_measure(stop, m0, P)
+            out, stopped, absorbed = _continuation_push(stop, m0, P)
+            assert m.masses.tobytes() == out.tobytes()
+            assert ledger.stopped_per_step.tobytes() == stopped.tobytes()
+            assert ledger.absorbed_per_step.tobytes() == absorbed.tobytes()
+        # never stopping is the all-continue mask
+        m, ledger = stopped_forward_measure(None, m0, P)
+        assert m.masses.tobytes() == out.tobytes()
+        assert ledger.stopped_per_step.tobytes() == stopped.tobytes()
+
+
+@pytest.mark.parametrize("never", [True, False])
+def test_push_holds_no_mask_grid_of_its_own(never):
+    # the family is the only (K+1) x J array the push makes; a bool grid
+    # would add one byte per node
+    grid, model, P, m0 = make_instance(K=200, J=200)
+    stop = None if never else solve_vi(np.full(grid.shape, 0.1), P, grid.dt).stop_mask
+    stopped_forward_measure(stop, m0, P)
+    tracemalloc.start()
+    try:
+        stopped_forward_measure(stop, m0, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = (grid.K + 1) * grid.J
+    assert peak < 8 * nodes + nodes // 2
 
 
 def test_zero_value_stops_all_mass_immediately():

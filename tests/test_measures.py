@@ -7,8 +7,12 @@ import pytest
 
 from mfgstop import (
     CoefficientFn,
+    DiffusionModel,
+    FBarFn,
     InitialMeasure,
     MeasureFamily,
+    ProductField,
+    RewardSpec,
     ShapeMismatch,
     Tridiagonal,
     TransitionOperator,
@@ -17,12 +21,16 @@ from mfgstop import (
     build_grid,
     build_transition_operator,
     convex_combine,
+    directional_gain,
     is_admissible,
+    line_search,
+    measure_ledger,
     moment,
     pair,
     stopped_forward_measure,
 )
 from mfgstop.lp_oracle import random_admissible_measure
+from mfgstop.model_core import _BLOCK, _row_blocks
 from mfgstop.montecarlo import simulate_paths
 from conftest import constant_model, make_instance, random_instance
 
@@ -320,3 +328,142 @@ def test_family_rejects_bad_input():
         MeasureFamily(np.full((2, 2), -1.0))
     with pytest.raises(ValidationError):
         MeasureFamily(np.full((2, 2), np.nan))
+
+
+# ----------------------------------------------------------------------
+# block-wise computations: bitwise equal to their one-shot formulas
+#
+# pair and directional_gain follow numpy's pairwise-summation tree, and
+# moment, convex_combine and line_search's curvature go a block of rows
+# at a time.  A numpy or BLAS whose sums or products change with the
+# blocking fails here, not silently in the solver's outputs.
+
+# (K+1, J): K*J < 8 summands, exactly one leaf, one leaf + 1, odd sizes,
+# K not a multiple of the row block, J above the leaf, and 1600 x 800
+_BLOCK_SHAPES = [(2, 3), (2, _BLOCK), (2, _BLOCK + 1), (38, 41), (204, 200),
+                 (4, 20000), (1601, 800)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _spread(rng, shape):
+    # magnitudes over 16 decades: a sum's last bits then depend on the
+    # order of its additions
+    return 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+def _block_case(shape, seed):
+    rng = np.random.default_rng(seed)
+    K, J = shape[0] - 1, shape[1]
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
+    m1 = MeasureFamily(rng.random(shape) * _spread(rng, shape), grid=grid)
+    m2 = MeasureFamily(rng.random(shape) * _spread(rng, shape), grid=grid)
+    return grid, m1, m2, rng
+
+
+def test_row_blocks_cover_the_rows_in_multiples_of_eight():
+    for n_rows, n_cols in [(0, 5), (1, 5), (203, 200), (800, 800), (5, 20000),
+                           (20000, 1)]:
+        blocks = _row_blocks(n_rows, n_cols)
+        assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(n_rows))
+        assert all((b.stop - b.start) % 8 == 0 for b in blocks[:-1])
+        assert all((b.stop - b.start) * n_cols <= max(_BLOCK, 8 * n_cols) for b in blocks)
+
+
+@pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+def test_pair_and_gain_sums_are_the_one_shot_sums_bitwise(shape):
+    grid, m1, m2, rng = _block_case(shape, 20)
+    K, dt = grid.K, grid.dt
+    f = rng.normal(size=shape) * _spread(rng, shape)
+    assert _bits(pair(f, m1, dt)) == _bits(float(dt * np.sum(f[:K] * m1.masses[:K])))
+    spec = RewardSpec(terms=())
+    gain = directional_gain(spec, m1, m2, dt, f=f)
+    one_shot = float(dt * np.sum(f[:K] * (m2.masses[:K] - m1.masses[:K])))
+    assert _bits(gain) == _bits(one_shot)
+
+
+@pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+def test_moment_and_convex_combine_are_the_one_shot_forms_bitwise(shape):
+    grid, m1, m2, rng = _block_case(shape, 21)
+    g = CoefficientFn.polynomial(0.3, -1.0, 2.0)
+    one_shot = np.add.reduce(m1.masses * g(grid.x)[None, :], axis=1)
+    assert _bits(moment(m1, g)) == _bits(one_shot)
+    rho = float(rng.random())
+    one_shot = (1.0 - rho) * m1.masses + rho * m2.masses
+    assert _bits(convex_combine(m1, m2, rho).masses) == _bits(one_shot)
+
+
+@pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+def test_line_search_curvature_is_the_one_shot_gemv_bitwise(shape):
+    # the closed-form step gain / curv with 0 < gain < curv carries the
+    # bits of both; the one-shot curvature is one matrix-vector product.
+    # Above a size threshold OpenBLAS splits that product's rows evenly
+    # between threads; its bits then match the blocks when each share is
+    # a multiple of 4 rows, as with 1600 rows on 1, 2, 4, 5 or 8 threads.
+    grid, m1, m2, rng = _block_case(shape, 22)
+    K, dt = grid.K, grid.dt
+    g = CoefficientFn.polynomial(0.2, 1.0)
+    spec = RewardSpec(terms=((FBarFn("linear", (1.0, 2.0)), g),), grid=grid)
+    d = m2.masses[:K] - m1.masses[:K]
+    delta = d @ g(grid.x)
+    blocked = np.empty(K)
+    for rows in _row_blocks(K, grid.J):
+        blocked[rows] = d[rows] @ g(grid.x)
+    assert _bits(blocked) == _bits(delta)
+    f = np.zeros(shape)
+    f[:K] = 1e-9 * d
+    gain = float(dt * np.sum(f[:K] * d))
+    curv = 2.0 * dt * float(np.sum(np.ones(K) * delta * delta))
+    assert 0.0 < gain < curv
+    assert _bits(line_search(spec, m1, m2, dt, f=f)) == _bits(gain / curv)
+
+
+def _one_shot_chain_excess(m, P):
+    excess = m.masses[1:] - P.apply_adjoint_each(m.masses[:-1])
+    excess[np.isnan(excess)] = np.inf
+    k, j = np.unravel_index(np.argmax(excess), excess.shape)
+    return excess[k, j], (int(k) + 1, int(j))
+
+
+def _blocked_operators():
+    """A homogeneous, a time-dependent and an alternating operator whose
+    steps span several blocks of the whole-family pushes."""
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=60, J=900)
+    P = build_transition_operator(constant_model(0.2, 0.5), grid)
+    varying = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.2)),
+                             sigma=ProductField(CoefficientFn.constant(0.5),
+                                                time=CoefficientFn.affine(1.0, 0.5)))
+    td = build_transition_operator(varying, grid)
+    alt = TransitionOperator([P.slices[0], td.slices[0]], [k % 2 for k in range(grid.K)],
+                             grid=grid)
+    return grid, [P, td, alt]
+
+
+def test_streamed_chain_check_and_ledger_match_the_one_shot_forms():
+    grid, operators = _blocked_operators()
+    m0 = InitialMeasure.uniform(grid)
+    for P in operators:
+        assert len(P._blocks) > 3
+        m = stopped_forward_measure(None, m0, P)[0]
+        ledger = measure_ledger(m, m0, P)
+        totals = m.masses.sum(axis=1)
+        pushed = P.apply_adjoint_each(m.masses[:-1]).sum(axis=1)
+        assert _bits(ledger.absorbed_per_step) == _bits(totals[:-1] - pushed)
+        assert _bits(ledger.stopped_per_step) == _bits(np.append(m0.total, pushed) - totals)
+
+        # from m_k = 0 nothing may arrive, so a planted mass is a violation
+        # of its own size: first a tie in two blocks (the first node in
+        # row-major order wins; with alternating slices the block of the
+        # later node is searched first), then a larger one, then a NaN
+        bad = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+        bad.masses[51, 3] = bad.masses[8, 800] = 0.25
+        for plant in [None, (33, 10, 0.75), (41, 2, np.nan)]:
+            if plant is not None:
+                bad.masses[plant[:2]] = plant[2]
+            report = is_admissible(bad, m0, P)
+            top, where = _one_shot_chain_excess(bad, P)
+            assert (report.kind, report.where) == ("chain_bound", where)
+            assert _bits(report.worst_violation) == _bits(float(top))
+        assert where == (41, 2)

@@ -8,6 +8,7 @@ line search) and the small dense LP (checks exploitability).
 """
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -350,19 +351,41 @@ def test_fixed_point_budget_exhaustion_recomputes_an_earlier_best_bitwise():
     assert res.v_star.tol_zero == v.tol_zero
 
 
-def test_fixed_point_working_set_stays_under_seven_grids():
+def test_fixed_point_working_set_stays_under_5_6_grids():
     # a (K+1) x J grid is 8 (K+1) J bytes; the loop holds the iterate,
-    # the best iterate, the response's reward, value grid and family, the
-    # push cache and a pairing temporary
+    # the best iterate, the response's reward, stop mask and family, and
+    # the push cache, and no full-grid temporary.  The cyclic collector is
+    # off, so that an array kept alive by a reference cycle counts too.
     grid, model, P, m0, spec, ctx = congestion_instance(J=200, K=200)
+    gc.disable()
     tracemalloc.start()
     try:
         res = fixed_point_solve(spec, ctx, eps_tol=1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert res.converged
-    assert peak <= 7 * (grid.K + 1) * grid.J * 8
+    assert peak <= 5.6 * (grid.K + 1) * grid.J * 8
+
+
+@pytest.mark.parametrize("n, max_iters, eps_tol, converged",
+                         [(50, 500, 1e-9, True), (30, 8, 1e-13, False)],
+                         ids=["converged", "earlier-best"])
+def test_fixed_point_value_grid_is_the_solve_of_its_reward_bitwise(n, max_iters, eps_tol,
+                                                                   converged):
+    # the loop keeps no value grid: v_star is recomputed from f_star at exit
+    grid, model, P, m0, spec, ctx = congestion_instance(J=n, K=n)
+    res = fixed_point_solve(spec, ctx, max_iters=max_iters, eps_tol=eps_tol)
+    assert res.converged == converged
+    if not converged:
+        # the best iterate is an earlier one than the last evaluated
+        assert res.exploitability in res.trace.exploitability
+    v = solve_vi(res.f_star, P, grid.dt)
+    assert res.v_star.values.tobytes() == v.values.tobytes()
+    np.testing.assert_array_equal(res.v_star.stop_mask, v.stop_mask)
+    assert res.v_star.tol_zero == v.tol_zero
+    assert res.value == value_at_initial(v, m0)
 
 
 def test_equilibrium_maximizes_potential(congestion_solution):

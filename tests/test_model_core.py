@@ -321,13 +321,25 @@ def _time_dependent_operator(K, J):
     TransitionOperator([TransitionSlice(_bands(20, 0.7, -2.0, 0.9), 0.1),
                         TransitionSlice(_bands(20, 0.3, -1.5, 0.6), 0.1)],
                        [k % 2 for k in range(7)]),
-], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating"])
+    # steps spanning several blocks of the whole-family solves
+    TransitionOperator.homogeneous(TransitionSlice(_bands(2100, 0.7, -2.0, 0.9), 0.1), 30),
+    TransitionOperator([TransitionSlice(_bands(2100, 0.7, -2.0, 0.9), 0.1),
+                        TransitionSlice(_bands(2100, 0.3, -1.5, 0.6), 0.1)],
+                       [k % 2 for k in range(37)]),
+], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating", "blocks",
+        "alternating-blocks"])
 def test_batched_pushes_match_per_step_bitwise(P):
     rows = np.random.default_rng(8).random((P.K, P.n))
     each = np.array([P.apply(k, rows[k]) for k in range(P.K)])
     each_adj = np.array([P.apply_adjoint(k, rows[k]) for k in range(P.K)])
     assert np.array_equal(P.apply_each(rows), each)
     assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
+    # adjoint_blocks visits every step once, with the same rows
+    seen = []
+    for steps, pushed in P.adjoint_blocks(rows):
+        seen += list(np.arange(P.K)[steps])
+        assert np.array_equal(pushed, each_adj[steps])
+    assert sorted(seen) == list(range(P.K))
 
 
 def test_batched_pushes_reject_wrong_shape():
@@ -338,6 +350,8 @@ def test_batched_pushes_reject_wrong_shape():
             P.apply_each(np.zeros(shape))
         with pytest.raises(ShapeMismatch):
             P.apply_adjoint_each(np.zeros(shape))
+        with pytest.raises(ShapeMismatch):
+            P.adjoint_blocks(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])

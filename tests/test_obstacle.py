@@ -104,6 +104,21 @@ def test_recursion_exact_at_continue_nodes():
         assert np.all(w[~active] <= v.tol_zero)
 
 
+def test_in_place_rows_match_the_one_expression_recursion_bitwise():
+    # solve_vi builds each row in place; the one-expression recursion is
+    # the reference, compared as bytes so that signed zeros count
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        grid, model, P, m0, f = random_instance(rng)
+        f[rng.random(f.shape) < 0.3] = -0.0
+        ref = np.zeros(grid.shape)
+        for k in range(grid.K - 1, -1, -1):
+            ref[k] = np.maximum(0.0, grid.dt * f[k] + P.apply(k, ref[k + 1]))
+        v = solve_vi(f, P, grid.dt)
+        assert v.values.tobytes() == ref.tobytes()
+        assert np.array_equal(v.stop_mask, ref <= v.tol_zero)
+
+
 # ----------------------------------------------------------------------
 # enumeration oracle
 
