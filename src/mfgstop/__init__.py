@@ -48,6 +48,7 @@ from .forward import (  # noqa: F401
 )
 from .reward import (  # noqa: F401
     FBarFn,
+    Iterate,
     RewardSpec,
     antimonotonicity_check,
     directional_gain,

@@ -41,7 +41,7 @@ from .forward import (  # noqa: F401
 )
 from .lp_oracle import test_function_audit
 from .measures import MeasureFamily, is_admissible, moment, pair
-from .mfg import ModelContext, best_response, check_budget, fixed_point_solve
+from .mfg import ModelContext, check_budget, fixed_point_solve
 from .model_core import (
     CoefficientFn,
     DiffusionModel,
@@ -56,7 +56,7 @@ from .model_core import (
 )
 from .montecarlo import simulate_paths
 from .obstacle import complementarity_report, solve_vi, value_at_initial
-from .reward import FBarFn, RewardSpec, evaluate_reward
+from .reward import FBarFn, Iterate, RewardSpec, evaluate_reward
 
 SUMMARY_KEYS = (
     "value",
@@ -197,14 +197,14 @@ def _build_initial(cfg, grid, config_dir: str) -> InitialMeasure:
     if kind == "uniform":
         return InitialMeasure.uniform(grid)
     if kind == "atom":
-        x0 = float(arg) if arg is not None else _number(sec, "x0", "initial", float)
+        x0 = _number(sec if arg is None else {"x0": arg}, "x0", "initial", float)
         return InitialMeasure.atom(grid, x0)
     if kind == "tabulated":
         rel = arg if arg is not None else _require(sec, "path", "initial")
         path = rel if os.path.isabs(rel) else os.path.join(config_dir, rel)
         try:
             masses = np.loadtxt(path, dtype=float).ravel()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigParseError(f"cannot read initial masses {path}: {exc}") from exc
         total = masses.sum()
         if total <= 0:
@@ -399,15 +399,16 @@ def _write_ledger(out_dir: str, ledger) -> None:
 
 
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
-    br = best_response(inst.spec, inst.zero_family(), inst.ctx)
-    v = solve_vi(br.f_grid, inst.transition, inst.grid.dt)
+    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, inst.zero_family()).ys)
+    v = solve_vi(f_grid, inst.transition, inst.grid.dt)
+    family, ledger = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
     value = value_at_initial(v, inst.m0)
-    gap = abs(value - pair(br.f_grid, br.family, inst.grid.dt))
+    gap = abs(value - pair(f_grid, family, inst.grid.dt))
 
     _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, v.values))
-    _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, br.family.masses))
-    _write_ledger(out_dir, br.ledger)
-    summary = _write_summary(out_dir, value, 0, 0.0, gap, br.ledger)
+    _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, family.masses))
+    _write_ledger(out_dir, ledger)
+    summary = _write_summary(out_dir, value, 0, 0.0, gap, ledger)
     if not quiet:
         print(f"solve-stop: value {summary['value']:.12g}, "
               f"duality gap {summary['duality_gap']:.3e}, "
@@ -495,7 +496,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
                 f"worst violation {rep.worst_violation:.3e} [{rep.kind}]")
 
     f_ref = family if is_mfg else inst.zero_family()
-    f_grid = evaluate_reward(inst.spec, f_ref)
+    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, f_ref).ys)
     v = solve_vi(f_grid, inst.transition, grid.dt)
     value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(f_grid, family, grid.dt))
@@ -576,7 +577,7 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     grid = inst.grid
     is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
     crowd = _read_family(inst, out_dir) if is_mfg else inst.zero_family()
-    f_grid = evaluate_reward(inst.spec, crowd)
+    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, crowd).ys)
     v = solve_vi(f_grid, inst.transition, grid.dt)
     # v's stop rule acts at slice boundaries only; steps share substep
     # slices where they share a slice

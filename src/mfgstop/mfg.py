@@ -2,12 +2,13 @@
 
 Because the coupled reward derives from a concave potential F, a relaxed
 equilibrium is exactly a maximizer of F over the admissible polytope.
-Each iteration computes the moment paths of the current crowd once,
-the best response to it (an obstacle problem plus a forward pass), an
-exact or golden-section line search along the segment toward it, and a
-convex update.  The golden section runs on moment paths: F along the
-segment is a function of (1 - rho) y + rho y_tilde and two h pairings,
-so each probe costs O(K).  The exploitability gap
+Each iteration builds one ``Iterate`` of the current crowd (its moment
+paths and h pairing), the best response to it (an obstacle problem plus
+a forward pass), an exact or golden-section line search along the
+segment toward it, and a convex update.  The golden section runs on the
+``Iterate`` of each end: F along the segment is a function of
+(1 - rho) y + rho y_tilde and (1 - rho) H + rho H_tilde, so each probe
+costs O(K).  The exploitability gap
 pair(f(., m), m_tilde) - pair(f(., m), m) is both the Nash defect of m
 and an upper bound on the remaining potential gap, so it doubles as the
 stopping criterion.
@@ -21,10 +22,9 @@ again, bitwise equal to a fresh push.  To bound memory it keeps a push
 only once its rule has recurred among the last few best responses, and
 at most three of them.  The loop holds no value grid: a best response
 keeps only the stop mask of its obstacle problem, and the best iterate
-only its family and moment paths.  At exit the value grid of the best
-iterate, and its reward when it is not the last iterate evaluated (only
-possible when the iteration budget runs out), are recomputed, bit for
-bit.
+only its ``Iterate``.  At exit the value grid of the best iterate, and
+its reward when it is not the last iterate evaluated (only possible
+when the iteration budget runs out), are recomputed, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from .model_core import (
 )
 from .obstacle import ValueFunction, solve_vi, value_at_initial
 from .reward import (
+    Iterate,
     RewardSpec,
     directional_gain,
     evaluate_reward,
-    moment_paths,
     potential_value,
     segment_potential,
 )
@@ -125,24 +125,23 @@ class PushCache:
         return out
 
 
-def best_response(spec: RewardSpec, m: MeasureFamily, ctx: ModelContext,
-                  ys: list[np.ndarray] | None = None,
+def best_response(spec: RewardSpec, it: Iterate, ctx: ModelContext,
                   pushes: PushCache | None = None) -> BestResponse:
-    """Optimal stopping response to the crowd m: solve the obstacle
-    problem for f(., m) and push the initial measure through its rule.
-    Its exploitability is the value a single deviating agent gains by
-    playing it against m.  ys, if given, must be ``moment_paths(spec, m)``;
-    pushes, if given, must be a ``PushCache`` of ctx, and the push is
-    taken from it.  Only the stop mask of the value function is kept,
-    so no value grid is live during the push and the pairings; its value
-    grid is ``solve_vi(f_grid, ctx.transition, ctx.dt)``."""
-    f = evaluate_reward(spec, m, ys=ys)
+    """Optimal stopping response to the crowd it.family: solve the
+    obstacle problem for its reward and push the initial measure through
+    its rule.  Its exploitability is the value a single deviating agent
+    gains by playing it against the crowd.  pushes, if given, must be a
+    ``PushCache`` of ctx, and the push is taken from it.  Only the stop
+    mask of the value function is kept, so no value grid is live during
+    the push and the pairings; its value grid is
+    ``solve_vi(f_grid, ctx.transition, ctx.dt)``."""
+    f = evaluate_reward(spec, it.ys)
     stop = solve_vi(f, ctx.transition, ctx.dt).stop_mask
     if pushes is None:
         fam, ledger = stopped_forward_measure(stop, ctx.m0, ctx.transition)
     else:
         fam, ledger = pushes.push(stop)
-    eps = pair(f, fam, ctx.dt) - pair(f, m, ctx.dt)
+    eps = pair(f, fam, ctx.dt) - pair(f, it.family, ctx.dt)
     return BestResponse(family=fam, f_grid=f, ledger=ledger, exploitability=eps)
 
 
@@ -151,20 +150,20 @@ _GOLDEN_TOL = 1e-10
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
-                dt: float, f: np.ndarray | None = None,
-                ys: list[np.ndarray] | None = None) -> float:
-    """Maximize rho -> F(m + rho (m_tilde - m)) over [0, 1].
+def line_search(spec: RewardSpec, it: Iterate, m_tilde: MeasureFamily,
+                f: np.ndarray, dt: float) -> float:
+    """Maximize rho -> F(m + rho (m_tilde - m)) over [0, 1], m = it.family.
 
-    All-linear specs admit a closed-form quadratic maximizer.  Otherwise
-    a golden-section search on the moment paths of m and m_tilde
-    (``segment_potential``, O(K) per probe) refines to an interval of
-    width 1e-10, with a midpoint-concavity guard on the sampled values.
-    Boundary ties resolve to the smaller rho.  f and ys, if given, must
-    be ``evaluate_reward(spec, m)`` and ``moment_paths(spec, m)``.
+    All-linear specs admit a closed-form quadratic maximizer, from the
+    reward f = f(., m).  Otherwise a golden-section search on the
+    ``Iterate`` of both ends (``segment_potential``, O(K) per probe)
+    refines to an interval of width 1e-10, with a midpoint-concavity
+    guard on the sampled values; it reads no f.  Boundary ties resolve
+    to the smaller rho.
     """
+    m = it.family
     if spec.all_linear:
-        gain = directional_gain(spec, m, m_tilde, dt, f=f)
+        gain = directional_gain(f, m, m_tilde, dt)
         grid = m.grid if m.grid is not None else spec.grid
         K = m.K
         curv = 0.0
@@ -187,7 +186,7 @@ def line_search(spec: RewardSpec, m: MeasureFamily, m_tilde: MeasureFamily,
             return 0.0
         return min(1.0, gain / curv)
 
-    phi = segment_potential(spec, m, m_tilde, dt, ys=ys)
+    phi = segment_potential(spec, it, Iterate.of(spec, m_tilde))
     probes = [0.0, 0.25, 0.5, 0.75, 1.0]
     vals = {r: phi(r) for r in probes}
     scale = max(1.0, max(abs(v) for v in vals.values()))
@@ -310,19 +309,19 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
     pushes = PushCache(ctx)
     start = time.perf_counter()
 
-    best = None  # (eps, m, ys)
+    best = None  # (eps, it)
     converged = False
     iterations = 0
     while True:
-        ys = moment_paths(spec, m)
-        br = best_response(spec, m, ctx, ys=ys, pushes=pushes)
+        it = Iterate.of(spec, m)
+        br = best_response(spec, it, ctx, pushes=pushes)
         eps = br.exploitability
         if not np.isfinite(eps):
             raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
                               "the reward or its pairing is not finite")
         last_is_best = best is None or eps < best[0]
         if last_is_best:
-            best = (eps, m, ys)
+            best = (eps, it)
         if eps <= eps_tol:
             converged = True
             break
@@ -332,13 +331,14 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         # through the line search, so that the next best_response runs
         # without this response's reward (peak memory)
         fam, f, br = br.family, br.f_grid, None
-        rho = line_search(spec, m, fam, ctx.dt, f=f, ys=ys)
+        rho = line_search(spec, it, fam, f, ctx.dt)
         f = None
-        mom = ys[0] if ys else np.zeros(grid.K + 1)
-        trace.append(potential_value(spec, m, ctx.dt, ys=ys), eps, rho, mom,
+        mom = it.ys[0] if it.ys else np.zeros(grid.K + 1)
+        trace.append(potential_value(spec, it), eps, rho, mom,
                      time.perf_counter() - start)
         m = convex_combine(m, fam, rho)
-        fam = None
+        # drop the old iterate before the next one is built (peak memory)
+        it = fam = None
         iterations += 1
 
     # the best iterate keeps no grid but its family; on convergence it is
@@ -346,11 +346,12 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
     # earlier exploitability exceeded eps_tol.  Its value grid, and the
     # reward of an earlier iterate, come from the computation
     # best_response ran on it, so they have the same bits.
-    eps, m, ys = best
+    eps, it = best
+    m = it.family
     f = br.f_grid if last_is_best else None
     br = pushes = None  # before the grids built below (peak memory)
     if f is None:
-        f = evaluate_reward(spec, m, ys=ys)
+        f = evaluate_reward(spec, it.ys)
     v = solve_vi(f, ctx.transition, ctx.dt)
 
     return FixedPointResult(
@@ -361,7 +362,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         iterations=iterations,
         converged=converged,
         exploitability=float(eps),
-        potential=potential_value(spec, m, ctx.dt, ys=ys),
+        potential=potential_value(spec, it),
         value=value_at_initial(v, ctx.m0),
         pair_value=pair(f, m, ctx.dt),
         ledger=measure_ledger(m, ctx.m0, ctx.transition),

@@ -7,11 +7,12 @@ F(m) = sum_i integral of Fbar_i(t, <g_i, m_t>) dt + <h, m> an exact
 potential: its directional derivative along m' - m is the pairing of
 f(., m) against m' - m.
 
-F depends on m only through the moment paths y_i(t) = <g_i, m_t> and the
-pairing <h, m>, both linear in m.  Callers that already hold the paths
-pass them in (``ys=``), and ``segment_potential`` evaluates F along a
-segment from the paths of its two ends, at O(K) per point instead of a
-full (K+1, J) family and its moments.
+F and the reward depend on m only through the moment paths
+y_i(t) = <g_i, m_t> and the h pairing H = <h, m>, both linear in m.
+``Iterate.of`` computes them once per family and is the only code that
+does; the reward, the potential and ``segment_potential`` read them from
+the ``Iterate``.  Along a segment the paths and H interpolate linearly,
+so F at any point of it costs O(K) once both ends are known.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .model_core import (
 __all__ = [
     "FBarFn",
     "RewardSpec",
+    "Iterate",
     "evaluate_reward",
     "antimonotonicity_check",
-    "moment_paths",
     "potential_value",
     "segment_potential",
     "directional_gain",
@@ -192,23 +193,6 @@ class RewardSpec:
 _Y_SLACK = 1e-9
 
 
-def moment_paths(spec: RewardSpec, m: MeasureFamily) -> list[np.ndarray]:
-    """The aggregate paths y_i = <g_i, m_t>, one per term, checked
-    against the spec's admissible range."""
-    ys = []
-    for i, (fbar, g) in enumerate(spec.terms):
-        y = moment(m, g)
-        if spec.y_max is not None:
-            bound = spec.y_max[i] * (1.0 + _Y_SLACK)
-            if np.abs(y).max() > bound:
-                raise MomentOutOfRange(
-                    f"aggregate {np.abs(y).max():.6g} exceeds bound {bound:.6g} "
-                    f"for term {i}"
-                )
-        ys.append(y)
-    return ys
-
-
 def _grid_of(spec: RewardSpec, m: MeasureFamily, who: str) -> SpaceTimeGrid:
     grid = m.grid if m.grid is not None else spec.grid
     if grid is None:
@@ -216,17 +200,62 @@ def _grid_of(spec: RewardSpec, m: MeasureFamily, who: str) -> SpaceTimeGrid:
     return grid
 
 
-def evaluate_reward(spec: RewardSpec, m: MeasureFamily,
-                    ys: list[np.ndarray] | None = None) -> np.ndarray:
-    """Materialize f(t_k, x_j, m) on the grid for a given family.
+@dataclass(frozen=True)
+class Iterate:
+    """A family with the two quantities F and the reward read from it.
 
-    ys, if given, must be ``moment_paths(spec, m)``.  Each term's outer
-    product is added a block of rows at a time, so the only full grid
-    made is f.
+    ys holds the moment paths y_i = <g_i, m_t>, one (K+1,) array per
+    term, checked against the spec's admissible range; H = <h, m> is the
+    h pairing (0.0 without h).  Build it with :meth:`of`.
     """
-    grid = _grid_of(spec, m, "evaluate_reward")
-    if ys is None:
-        ys = moment_paths(spec, m)
+
+    family: MeasureFamily
+    ys: tuple
+    H: float
+
+    @classmethod
+    def of(cls, spec: RewardSpec, m: MeasureFamily) -> "Iterate":
+        grid = _grid_of(spec, m, "Iterate.of")
+        ys = []
+        for i, (fbar, g) in enumerate(spec.terms):
+            y = moment(m, g)
+            if spec.y_max is not None:
+                bound = spec.y_max[i] * (1.0 + _Y_SLACK)
+                if np.abs(y).max() > bound:
+                    raise MomentOutOfRange(
+                        f"aggregate {np.abs(y).max():.6g} exceeds bound {bound:.6g} "
+                        f"for term {i}"
+                    )
+            ys.append(y)
+        h = spec.h
+        if not isinstance(h, ProductField):
+            return cls(m, tuple(ys), 0.0 if h is None else pair(h, m, grid.dt))
+        if m.masses.shape != grid.shape:
+            raise ShapeMismatch(f"family {m.masses.shape} vs grid {grid.shape}")
+        # pair(h.on_grid(grid), m, dt) bit for bit, a block of the grid's
+        # flattened entries at a time.  A whole h grid built and freed at
+        # the top of each iteration makes glibc trim the heap and fault
+        # its pages back in every iteration, which slowed perfbench's
+        # timedep solves
+        tf, sx, J = h.time_factor(grid.t), h.space(grid.x), m.J
+        b = np.ravel(m.masses[:m.K])
+
+        def term(i, j):
+            return np.outer(tf[i // J:-(-j // J)], sx).ravel()[i % J:][:j - i] * b[i:j]
+
+        return cls(m, tuple(ys), float(grid.dt * _block_sum(term, 0, b.size)))
+
+
+def evaluate_reward(spec: RewardSpec, ys: tuple) -> np.ndarray:
+    """Materialize f(t_k, x_j, m) on the spec's grid from the moment
+    paths ys of m (``Iterate.of(spec, m).ys``).
+
+    Each term's outer product is added a block of rows at a time, so the
+    only full grid made is f.
+    """
+    grid = spec.grid
+    if grid is None:
+        raise ValidationError("evaluate_reward needs a validated spec")
     f = np.zeros(grid.shape)
     for (fbar, g), y in zip(spec.terms, ys):
         fy, gx = fbar.f_bar(grid.t, y), g(grid.x)
@@ -260,80 +289,60 @@ def antimonotonicity_check(spec: RewardSpec, samples: int = 200,
     return True, None
 
 
-def _h_pairing(spec: RewardSpec, grid: SpaceTimeGrid, m: MeasureFamily,
-               dt: float) -> float:
-    h = spec.h_grid(grid)
-    return 0.0 if h is None else pair(h, m, dt)
-
-
-def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, h_part: float,
+def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, H: float,
                         dt: float) -> float:
     """F from the moment paths cut to their first K entries (t is t[:K])
     and the h pairing."""
     total = 0.0
     for (fbar, _), y in zip(spec.terms, ys):
         total += dt * float(np.sum(fbar.F_bar(t, y)))
-    return total + h_part
+    return total + H
 
 
-def potential_value(spec: RewardSpec, m: MeasureFamily, dt: float,
-                    ys: list[np.ndarray] | None = None) -> float:
+def potential_value(spec: RewardSpec, it: Iterate) -> float:
     """F(m): time integral of the antiderivatives plus the linear h part.
 
     Uses the same left-endpoint rule as the pairing, so the chain rule
-    F'(m)[d] = pair(f(., m), d) holds exactly on the grid.  ys, if
-    given, must be ``moment_paths(spec, m)``.
+    F'(m)[d] = pair(f(., m), d) holds exactly on the grid.
     """
-    grid = _grid_of(spec, m, "potential_value")
-    if ys is None:
-        ys = moment_paths(spec, m)
-    K = m.K
-    return _potential_of_paths(spec, grid.t[:K], [y[:K] for y in ys],
-                               _h_pairing(spec, grid, m, dt), dt)
+    grid = _grid_of(spec, it.family, "potential_value")
+    K = it.family.K
+    return _potential_of_paths(spec, grid.t[:K], [y[:K] for y in it.ys], it.H, grid.dt)
 
 
-def segment_potential(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamily,
-                      dt: float, ys: list[np.ndarray] | None = None):
-    """rho -> F(m + rho (m_target - m)), evaluated on moment paths.
+def segment_potential(spec: RewardSpec, a: Iterate, b: Iterate):
+    """rho -> F(a + rho (b - a)), evaluated on moment paths.
 
-    The moment paths and <h, .> are linear in the family, so the point
-    at rho has paths (1 - rho) y + rho y_target and h pairing
-    (1 - rho) H + rho H_target: each evaluation costs O(K) once both
-    ends are known.  The interpolated paths are convex combinations of
-    two range-checked paths, so they stay in range too.  ys, if given,
-    must be ``moment_paths(spec, m)``.
+    The moment paths and H are linear in the family, so the point at rho
+    has paths (1 - rho) y_a + rho y_b and h pairing (1 - rho) H_a + rho H_b:
+    each evaluation costs O(K).  The interpolated paths are convex
+    combinations of two range-checked paths, so they stay in range too.
     """
-    if m.masses.shape != m_target.masses.shape:
+    if a.family.masses.shape != b.family.masses.shape:
         raise ShapeMismatch("families must share a shape")
-    grid = _grid_of(spec, m, "segment_potential")
-    if ys is None:
-        ys = moment_paths(spec, m)
-    K = m.K
-    t = grid.t[:K]
-    ends = [(y[:K], y_target[:K]) for y, y_target in zip(ys, moment_paths(spec, m_target))]
-    h0 = _h_pairing(spec, grid, m, dt)
-    h1 = _h_pairing(spec, grid, m_target, dt)
+    grid = _grid_of(spec, a.family, "segment_potential")
+    K = a.family.K
+    t, dt = grid.t[:K], grid.dt
+    ends = [(y[:K], y_b[:K]) for y, y_b in zip(a.ys, b.ys)]
 
     def phi(rho: float) -> float:
-        paths = [(1.0 - rho) * y + rho * y_target for y, y_target in ends]
-        return _potential_of_paths(spec, t, paths, (1.0 - rho) * h0 + rho * h1, dt)
+        paths = [(1.0 - rho) * y + rho * y_b for y, y_b in ends]
+        return _potential_of_paths(spec, t, paths, (1.0 - rho) * a.H + rho * b.H, dt)
 
     return phi
 
 
-def directional_gain(spec: RewardSpec, m: MeasureFamily, m_target: MeasureFamily,
-                     dt: float, f: np.ndarray | None = None) -> float:
-    """dF/drho at rho = 0 along m + rho (m_target - m).
+def directional_gain(f: np.ndarray, m: MeasureFamily, m_target: MeasureFamily,
+                     dt: float) -> float:
+    """dF/drho at rho = 0 along m + rho (m_target - m), where f is the
+    reward f(., m).
 
-    Equals pair(f(., m), m_target - m) by the potential property.  f, if
-    given, must be ``evaluate_reward(spec, m)``.  The sum is
+    Equals pair(f, m_target - m) by the potential property.  The sum is
     np.sum(f[:K] * (m_target[:K] - m[:K])) bit for bit, without the
     difference and product grids.
     """
     if m.masses.shape != m_target.masses.shape:
         raise ShapeMismatch("families must share a shape")
-    if f is None:
-        f = evaluate_reward(spec, m)
     K = m.K
     a, b, c = (np.ravel(x[:K]) for x in (f, m_target.masses, m.masses))
     return float(dt * _block_sum(lambda i, j: a[i:j] * (b[i:j] - c[i:j]), 0, a.size))

@@ -5,6 +5,9 @@ reproducible; the helpers return plain tuples instead of fixtures where
 tests need many independent draws.
 """
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +29,18 @@ from mfgstop import (
     discretize_generator,
     fixed_point_solve,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    tests that start another interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def constant_model(mu=0.0, sigma=0.5):

@@ -30,6 +30,7 @@ import pytest
 
 from mfgstop import (
     CoefficientFn,
+    Iterate,
     ProductField,
     RewardSpec,
     enumerate_stopping_rules,
@@ -190,13 +191,13 @@ def test_criterion_7_equilibrium_maximizes_potential(capsys,
     res = congestion_solution["result"]
     spec = congestion_solution["spec"]
     grid = congestion_solution["grid"]
-    f_star = potential_value(spec, res.m_star, grid.dt)
+    f_star = potential_value(spec, Iterate.of(spec, res.m_star))
     rng = np.random.default_rng(7007)
     worst = -np.inf
     for _ in range(100):
         m = random_admissible_measure(congestion_solution["P"],
                                       congestion_solution["m0"], grid, rng)
-        worst = max(worst, potential_value(spec, m, grid.dt) - f_star)
+        worst = max(worst, potential_value(spec, Iterate.of(spec, m)) - f_star)
     ok = worst <= 1e-6
     _report(capsys, 7, ok,
             f"largest potential excess over the equilibrium {worst:.3e} "

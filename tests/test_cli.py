@@ -14,7 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mfgstop import evaluate_reward, solve_vi
+import mfgstop.cli
+import mfgstop.mfg
+import mfgstop.obstacle
+from mfgstop import Iterate, evaluate_reward, solve_vi
 from mfgstop.cli import (
     MC_SUBSTEPS,
     build_instance,
@@ -24,7 +27,7 @@ from mfgstop.cli import (
     read_grid_csv,
 )
 from mfgstop.errors import VerificationFailure
-from conftest import per_value_grid_csv_text, substepped_totals
+from conftest import per_value_grid_csv_text, src_env, substepped_totals
 
 DECOUPLED = """\
 [grid]
@@ -217,6 +220,23 @@ def test_solve_stop_all_negative_reward(tmp_path):
     np.testing.assert_array_equal(masses, np.zeros((7, 5)))
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["conservation_gap"] <= 1e-12
+
+
+def test_solve_stop_runs_one_backward_sweep(tmp_path, monkeypatch):
+    # the value grid and the stop rule of the pushed family come from one
+    # obstacle solve; counted in every namespace that looks solve_vi up
+    calls = []
+    real = mfgstop.obstacle.solve_vi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (mfgstop.obstacle, mfgstop.mfg, mfgstop.cli):
+        monkeypatch.setattr(module, "solve_vi", counted)
+    cfg = _bump_cfg(tmp_path)
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def test_solve_stop_atom_start_never_stopping(tmp_path):
@@ -431,8 +451,8 @@ def test_mc_reference_matches_substep_loop(tmp_path, sigma_time):
 
     inst = build_instance(load_config(cfg), str(tmp_path))
     assert inst.model.time_constant == (sigma_time == "")
-    v = solve_vi(evaluate_reward(inst.spec, inst.zero_family()), inst.transition,
-                 inst.grid.dt)
+    v = solve_vi(evaluate_reward(inst.spec, Iterate.of(inst.spec, inst.zero_family()).ys),
+                 inst.transition, inst.grid.dt)
     inner = v.stop_mask[:-1, 1:-1]
     assert inner.any() and not inner.all()
     np.testing.assert_array_equal(
@@ -535,6 +555,19 @@ def test_unknown_coefficient_kind_exits_3(tmp_path):
 def test_unknown_initial_kind_exits_3(tmp_path):
     cfg = _cfg(tmp_path, STOP_NOW.replace("kind = uniform", "kind = spread"))
     assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("kind, masses", [("atom(abc)", None),
+                                          ("tabulated(masses.txt)", "0.2 0.2 abc 0.2 0.2")],
+                         ids=["atom", "tabulated"])
+def test_non_numeric_initial_exits_2(tmp_path, capsys, kind, masses):
+    if masses is not None:
+        (tmp_path / "masses.txt").write_text(masses + "\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, STOP_NOW.replace("kind = uniform", f"kind = {kind}"))
+    capsys.readouterr()
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "abc" in err
 
 
 def test_bad_m_init_exits_3(tmp_path):
@@ -782,6 +815,6 @@ def test_console_script_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mfgstop.cli", "solve-stop",
          "--config", cfg, "--out", str(out), "--quiet"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()

@@ -10,6 +10,7 @@ from mfgstop import (
     DiffusionModel,
     FBarFn,
     InitialMeasure,
+    Iterate,
     MeasureFamily,
     ProductField,
     RewardSpec,
@@ -378,10 +379,20 @@ def test_pair_and_gain_sums_are_the_one_shot_sums_bitwise(shape):
     K, dt = grid.K, grid.dt
     f = rng.normal(size=shape) * _spread(rng, shape)
     assert _bits(pair(f, m1, dt)) == _bits(float(dt * np.sum(f[:K] * m1.masses[:K])))
-    spec = RewardSpec(terms=())
-    gain = directional_gain(spec, m1, m2, dt, f=f)
+    gain = directional_gain(f, m1, m2, dt)
     one_shot = float(dt * np.sum(f[:K] * (m2.masses[:K] - m1.masses[:K])))
     assert _bits(gain) == _bits(one_shot)
+
+
+@pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+def test_h_pairing_is_the_pairing_with_the_h_grid_bitwise(shape):
+    # Iterate.of pairs a separable h with the family a block of the h
+    # grid's entries at a time, without building the grid
+    grid, m1, _, rng = _block_case(shape, 23)
+    h = ProductField(CoefficientFn.polynomial(0.3, -1.0, 2.0),
+                     time=CoefficientFn.affine(1.0, -0.7))
+    spec = RewardSpec(terms=(), h=h, grid=grid)
+    assert _bits(Iterate.of(spec, m1).H) == _bits(pair(h.on_grid(grid), m1, grid.dt))
 
 
 @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
@@ -417,7 +428,7 @@ def test_line_search_curvature_is_the_one_shot_gemv_bitwise(shape):
     gain = float(dt * np.sum(f[:K] * d))
     curv = 2.0 * dt * float(np.sum(np.ones(K) * delta * delta))
     assert 0.0 < gain < curv
-    assert _bits(line_search(spec, m1, m2, dt, f=f)) == _bits(gain / curv)
+    assert _bits(line_search(spec, Iterate.of(spec, m1), m2, f, dt)) == _bits(gain / curv)
 
 
 def _one_shot_chain_excess(m, P):

@@ -21,6 +21,7 @@ from mfgstop import (
     DiffusionModel,
     FBarFn,
     InitialMeasure,
+    Iterate,
     MeasureFamily,
     ModelContext,
     ProductField,
@@ -104,8 +105,8 @@ def test_best_response_ignores_crowd_when_decoupled():
 
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
     crowd = stopped_forward_measure(None, m0, P)[0]
-    br_a = best_response(spec, zero, ctx)
-    br_b = best_response(spec, crowd, ctx)
+    br_a = best_response(spec, Iterate.of(spec, zero), ctx)
+    br_b = best_response(spec, Iterate.of(spec, crowd), ctx)
 
     np.testing.assert_array_equal(br_a.f_grid, br_b.f_grid)
     np.testing.assert_array_equal(br_a.family.masses, br_b.family.masses)
@@ -120,7 +121,7 @@ def test_best_response_stops_at_once_when_reward_is_negative():
         terms=((FBarFn("linear", (-1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
 
-    br = best_response(spec, stopped_forward_measure(None, m0, P)[0], ctx)
+    br = best_response(spec, Iterate.of(spec, stopped_forward_measure(None, m0, P)[0]), ctx)
     assert np.all(br.f_grid < 0.0)
     v = solve_vi(br.f_grid, P, grid.dt)
     np.testing.assert_array_equal(v.values, np.zeros((grid.K + 1, grid.J)))
@@ -135,8 +136,9 @@ def test_best_response_value_matches_small_lp():
     rng = np.random.default_rng(31)
     for _ in range(5):
         m = random_admissible_measure(P, m0, grid, rng)
-        br = best_response(spec, m, ctx)
-        np.testing.assert_array_equal(br.f_grid, evaluate_reward(spec, m))
+        it = Iterate.of(spec, m)
+        br = best_response(spec, it, ctx)
+        np.testing.assert_array_equal(br.f_grid, evaluate_reward(spec, it.ys))
         lp = lp_solve_small(br.f_grid, P, m0, grid.dt)
         got = pair(br.f_grid, br.family, grid.dt)
         assert abs(got - lp.value) <= 1e-9 * (1.0 + abs(lp.value))
@@ -149,13 +151,14 @@ def test_best_response_value_matches_small_lp():
 def test_line_search_interior_matches_golden_section_oracle():
     grid, model, P, m0, spec, ctx = congestion_instance(J=40, K=40)
     m = stopped_forward_measure(None, m0, P)[0]
-    m_tilde = best_response(spec, m, ctx).family
+    it = Iterate.of(spec, m)
+    m_tilde = best_response(spec, it, ctx).family
 
-    rho = line_search(spec, m, m_tilde, grid.dt)
+    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys), grid.dt)
     assert 0.01 < rho < 0.99
 
     def phi(r):
-        return potential_value(spec, convex_combine(m, m_tilde, r), grid.dt)
+        return potential_value(spec, Iterate.of(spec, convex_combine(m, m_tilde, r)))
 
     rho_oracle = _golden_section(phi)
     assert rho == pytest.approx(rho_oracle, abs=1e-7)
@@ -169,23 +172,25 @@ def test_segment_potential_matches_potential_of_combined_family(kind):
     rng = np.random.default_rng(37)
     for m in (stopped_forward_measure(None, m0, P)[0],
               random_admissible_measure(P, m0, grid, rng)):
-        m_tilde = best_response(spec, m, ctx).family
-        phi = segment_potential(spec, m, m_tilde, grid.dt)
+        it = Iterate.of(spec, m)
+        m_tilde = best_response(spec, it, ctx).family
+        phi = segment_potential(spec, it, Iterate.of(spec, m_tilde))
         for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
-            want = potential_value(spec, convex_combine(m, m_tilde, rho), grid.dt)
+            want = potential_value(spec, Iterate.of(spec, convex_combine(m, m_tilde, rho)))
             assert abs(phi(rho) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_line_search_exponential_matches_golden_section_oracle():
     grid, P, m0, spec, ctx = _curved_instance(*CURVED["exponential"])
     m = stopped_forward_measure(None, m0, P)[0]
-    m_tilde = best_response(spec, m, ctx).family
+    it = Iterate.of(spec, m)
+    m_tilde = best_response(spec, it, ctx).family
 
-    rho = line_search(spec, m, m_tilde, grid.dt)
+    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys), grid.dt)
     assert 0.01 < rho < 0.99
 
     def phi(r):
-        return potential_value(spec, convex_combine(m, m_tilde, r), grid.dt)
+        return potential_value(spec, Iterate.of(spec, convex_combine(m, m_tilde, r)))
 
     assert rho == pytest.approx(_golden_section(phi), abs=1e-7)
     best_on_grid = max(phi(r) for r in np.linspace(0.0, 1.0, 101))
@@ -198,22 +203,26 @@ def test_line_search_decoupled_takes_full_or_no_step():
     spec = _decoupled_spec(grid, m0)
 
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    m_tilde = best_response(spec, zero, ctx).family
-    assert pair(evaluate_reward(spec, zero), m_tilde, grid.dt) > 0.0
-    assert line_search(spec, zero, m_tilde, grid.dt) == 1.0
+    it = Iterate.of(spec, zero)
+    m_tilde = best_response(spec, it, ctx).family
+    assert pair(evaluate_reward(spec, it.ys), m_tilde, grid.dt) > 0.0
+    assert line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys), grid.dt) == 1.0
     # stepping away from the better measure gains nothing
-    assert line_search(spec, m_tilde, zero, grid.dt) == 0.0
+    it_tilde = Iterate.of(spec, m_tilde)
+    assert line_search(spec, it_tilde, zero, evaluate_reward(spec, it_tilde.ys), grid.dt) == 0.0
 
 
 def test_line_search_stationary_direction_returns_zero():
     grid, model, P, m0 = make_instance()
     m = stopped_forward_measure(None, m0, P)[0]
     linear = _decoupled_spec(grid, m0)
-    assert line_search(linear, m, m, grid.dt) == 0.0
+    it = Iterate.of(linear, m)
+    assert line_search(linear, it, m, evaluate_reward(linear, it.ys), grid.dt) == 0.0
     curved = RewardSpec(
         terms=((FBarFn("exponential", (1.0, 2.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
-    assert line_search(curved, m, m, grid.dt) == 0.0
+    it = Iterate.of(curved, m)
+    assert line_search(curved, it, m, evaluate_reward(curved, it.ys), grid.dt) == 0.0
 
 
 def test_line_search_rejects_non_concave_objective():
@@ -225,7 +234,8 @@ def test_line_search_rejects_non_concave_objective():
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
     bar = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(NonConcaveDetected):
-        line_search(spec, zero, bar, grid.dt)
+        # the golden section reads no reward grid, and this spec has none
+        line_search(spec, Iterate.of(spec, zero), bar, None, grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +247,10 @@ def test_exploitability_equals_lp_gap():
     rng = np.random.default_rng(7)
     for _ in range(5):
         m = random_admissible_measure(P, m0, grid, rng)
-        eps = best_response(spec, m, ctx).exploitability
+        it = Iterate.of(spec, m)
+        eps = best_response(spec, it, ctx).exploitability
         assert eps >= -1e-10
-        f = evaluate_reward(spec, m)
+        f = evaluate_reward(spec, it.ys)
         lp = lp_solve_small(f, P, m0, grid.dt)
         gap = lp.value - pair(f, m, grid.dt)
         assert eps == pytest.approx(gap, abs=1e-10, rel=1e-10)
@@ -250,14 +261,14 @@ def test_exploitability_vanishes_at_decoupled_best_response():
     ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
     spec = _decoupled_spec(grid, m0)
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    br = best_response(spec, zero, ctx)
-    assert best_response(spec, br.family, ctx).exploitability <= 1e-12
+    br = best_response(spec, Iterate.of(spec, zero), ctx)
+    assert best_response(spec, Iterate.of(spec, br.family), ctx).exploitability <= 1e-12
 
 
 def test_empty_crowd_is_exploitable_when_stopping_pays():
     grid, model, P, m0, spec, ctx = congestion_instance(J=20, K=20)
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    assert best_response(spec, zero, ctx).exploitability > 0.01
+    assert best_response(spec, Iterate.of(spec, zero), ctx).exploitability > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +287,7 @@ def test_fixed_point_decoupled_converges_in_one_iteration():
     assert res.exploitability == 0.0
     assert res.duality_gap <= 1e-12
 
-    br = best_response(spec, res.m_star, ctx)
+    br = best_response(spec, Iterate.of(spec, res.m_star), ctx)
     np.testing.assert_array_equal(res.m_star.masses, br.family.masses)
 
 
@@ -332,7 +343,7 @@ def test_fixed_point_budget_exhaustion_returns_best_iterate():
     assert len(res.trace) == 2
     assert res.exploitability >= 0.0
     # the reported gap is the gap of the measure actually returned
-    again = best_response(spec, res.m_star, ctx).exploitability
+    again = best_response(spec, Iterate.of(spec, res.m_star), ctx).exploitability
     assert again == pytest.approx(res.exploitability, abs=1e-13, rel=1e-12)
 
 
@@ -343,7 +354,7 @@ def test_fixed_point_budget_exhaustion_recomputes_an_earlier_best_bitwise():
     res = fixed_point_solve(spec, ctx, max_iters=8, eps_tol=1e-13)
     assert not res.converged
     assert res.exploitability in res.trace.exploitability
-    f = evaluate_reward(spec, res.m_star)
+    f = evaluate_reward(spec, Iterate.of(spec, res.m_star).ys)
     v = solve_vi(f, P, grid.dt)
     np.testing.assert_array_equal(res.f_star, f)
     np.testing.assert_array_equal(res.v_star.values, v.values)
@@ -395,12 +406,12 @@ def test_equilibrium_maximizes_potential(congestion_solution):
     P = congestion_solution["P"]
     m0 = congestion_solution["m0"]
 
-    f_star = potential_value(spec, res.m_star, grid.dt)
+    f_star = potential_value(spec, Iterate.of(spec, res.m_star))
     assert res.potential == pytest.approx(f_star, abs=1e-12)
     rng = np.random.default_rng(83)
     for _ in range(20):
         m = random_admissible_measure(P, m0, grid, rng)
-        assert f_star >= potential_value(spec, m, grid.dt) - 1e-6
+        assert f_star >= potential_value(spec, Iterate.of(spec, m)) - 1e-6
 
 
 def test_equilibrium_complementarity(congestion_solution):
@@ -448,6 +459,34 @@ def test_golden_section_moments_per_iteration_and_repeatability(monkeypatch):
     np.testing.assert_array_equal(first.m_star.masses, second.m_star.masses)
     np.testing.assert_array_equal(np.asarray(first.trace.rho),
                                   np.asarray(second.trace.rho))
+
+
+@pytest.mark.parametrize("h_kind", ["field", "grid"])
+def test_each_family_is_paired_with_h_once(monkeypatch, h_kind):
+    # F reads a family only through its moment paths and h pairing, and
+    # each iteration builds them once for the iterate and once for the
+    # best response, the other end of the golden section
+    spec, ctx = _timedep_game()
+    if h_kind == "grid":
+        spec = dataclasses.replace(spec, h=spec.h.on_grid(ctx.grid))
+    calls = _count_moment_calls(monkeypatch)
+    pairings = []
+    # the reward layer pairs a family with an h grid through pair, and
+    # with a separable h through _block_sum
+    for name in ("pair", "_block_sum"):
+        real = getattr(mfgstop.reward, name)
+
+        def counted(*args, real=real):
+            pairings.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mfgstop.reward, name, counted)
+    res = fixed_point_solve(spec, ctx, max_iters=4, eps_tol=1e-14)
+    assert not res.converged and res.iterations == 4
+    # two families per iteration, plus the last iterate, whose
+    # exploitability ends the loop
+    assert len(pairings) == 2 * res.iterations + 1
+    assert len(calls) == len(pairings) * len(spec.terms)
 
 
 def test_fixed_point_refuses_non_finite_exploitability():

@@ -7,6 +7,7 @@ from mfgstop import (
     CoefficientFn,
     FBarFn,
     InitialMeasure,
+    Iterate,
     MeasureFamily,
     MissingAntiderivative,
     MomentOutOfRange,
@@ -26,6 +27,16 @@ from mfgstop import (
 )
 from mfgstop.lp_oracle import random_admissible_measure
 from conftest import make_instance
+
+
+def _f(spec, m):
+    """The reward f(., m)."""
+    return evaluate_reward(spec, Iterate.of(spec, m).ys)
+
+
+def _F(spec, m):
+    """The potential F(m)."""
+    return potential_value(spec, Iterate.of(spec, m))
 
 
 def _two_term_setup(seed=21):
@@ -56,8 +67,8 @@ def test_decoupled_reward_ignores_measure():
     ).validated(grid, m0)
     zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
     full = stopped_forward_measure(None, m0, P)[0]
-    f0 = evaluate_reward(spec, zero)
-    f1 = evaluate_reward(spec, full)
+    f0 = _f(spec, zero)
+    f1 = _f(spec, full)
     assert np.array_equal(f0, np.ones(grid.shape))
     assert np.array_equal(f1, np.ones(grid.shape))
 
@@ -70,7 +81,7 @@ def test_linear_reward_arithmetic():
         terms=((FBarFn("linear", (1.0, 1.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     m = MeasureFamily(np.full(grid.shape, 0.125), grid=grid)
-    f = evaluate_reward(spec, m)
+    f = _f(spec, m)
     assert np.array_equal(f, np.full(grid.shape, 0.5))
 
 
@@ -80,7 +91,7 @@ def test_saturating_reward_at_zero_moment():
         terms=((FBarFn("saturating", (2.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    assert np.array_equal(evaluate_reward(spec, m), np.full(grid.shape, 2.0))
+    assert np.array_equal(_f(spec, m), np.full(grid.shape, 2.0))
 
 
 def test_moment_out_of_range_alarm():
@@ -90,9 +101,9 @@ def test_moment_out_of_range_alarm():
     ).validated(grid, m0)
     huge = MeasureFamily(np.full(grid.shape, 10.0), grid=grid)
     with pytest.raises(MomentOutOfRange):
-        evaluate_reward(spec, huge)
+        _f(spec, huge)
     with pytest.raises(MomentOutOfRange):
-        potential_value(spec, huge, grid.dt)
+        _F(spec, huge)
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +160,7 @@ def test_potential_zero_measure():
         terms=((FBarFn("exponential", (1.0, 2.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    assert potential_value(spec, m, grid.dt) == 0.0
+    assert _F(spec, m) == 0.0
 
 
 def test_potential_hand_check():
@@ -162,7 +173,7 @@ def test_potential_hand_check():
     ).validated(grid, m0)
     masses = np.array([[0.25, 0.25], [0.125, 0.125], [0.0, 0.0]])
     m = MeasureFamily(masses, grid=grid)
-    assert potential_value(spec, m, grid.dt) == 0.59375
+    assert _F(spec, m) == 0.59375
 
 
 def test_potential_gradient_matches_fd():
@@ -170,22 +181,22 @@ def test_potential_gradient_matches_fd():
     # at the midpoint equals the pairing of f(mid) against m2 - m1
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=23)
     mid = convex_combine(m1, m2, 0.5)
-    gain = 2.0 * directional_gain(spec, mid, m2, grid.dt)
+    gain = 2.0 * directional_gain(_f(spec, mid), mid, m2, grid.dt)
     assert abs(gain) > 1e-4
     for eps in (1e-4, 1e-5, 1e-6):
-        up = potential_value(spec, convex_combine(m1, m2, 0.5 + eps), grid.dt)
-        dn = potential_value(spec, convex_combine(m1, m2, 0.5 - eps), grid.dt)
+        up = _F(spec, convex_combine(m1, m2, 0.5 + eps))
+        dn = _F(spec, convex_combine(m1, m2, 0.5 - eps))
         slope = (up - dn) / (2.0 * eps)
         assert slope == pytest.approx(gain, rel=1e-6, abs=1e-9)
 
 
 def test_potential_concave_along_segments():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=24)
-    F1 = potential_value(spec, m1, grid.dt)
-    F2 = potential_value(spec, m2, grid.dt)
+    F1 = _F(spec, m1)
+    F2 = _F(spec, m2)
     for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
         mid = convex_combine(m1, m2, rho)
-        F = potential_value(spec, mid, grid.dt)
+        F = _F(spec, mid)
         assert F >= (1.0 - rho) * F1 + rho * F2 - 1e-10
 
 
@@ -195,7 +206,7 @@ def test_potential_concave_along_segments():
 
 def test_gain_zero_direction():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=25)
-    assert directional_gain(spec, m1, m1, grid.dt) == 0.0
+    assert directional_gain(_f(spec, m1), m1, m1, grid.dt) == 0.0
 
 
 def test_gain_decoupled_is_pair_difference():
@@ -206,9 +217,9 @@ def test_gain_decoupled_is_pair_difference():
     rng = np.random.default_rng(26)
     m1 = random_admissible_measure(P, m0, grid, rng)
     m2 = random_admissible_measure(P, m0, grid, rng)
-    f = evaluate_reward(spec, m1)
+    f = _f(spec, m1)
     want = pair(f, m2, grid.dt) - pair(f, m1, grid.dt)
-    assert directional_gain(spec, m1, m2, grid.dt) == pytest.approx(want, abs=1e-14)
+    assert directional_gain(f, m1, m2, grid.dt) == pytest.approx(want, abs=1e-14)
 
 
 def test_gain_matches_fd_at_zero():
@@ -217,15 +228,13 @@ def test_gain_matches_fd_at_zero():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=27)
     base = MeasureFamily(0.5 * m1.masses, grid=grid, validate=False)
     delta = m2.masses - base.masses
-    gain = directional_gain(spec, base, m2, grid.dt)
+    gain = directional_gain(_f(spec, base), base, m2, grid.dt)
     assert abs(gain) > 1e-4
     for eps in (1e-4, 1e-5, 1e-6):
-        up = potential_value(
-            spec, MeasureFamily(base.masses + eps * delta, grid=grid,
-                                validate=False), grid.dt)
-        dn = potential_value(
-            spec, MeasureFamily(base.masses - eps * delta, grid=grid,
-                                validate=False), grid.dt)
+        up = _F(spec, MeasureFamily(base.masses + eps * delta, grid=grid,
+                                    validate=False))
+        dn = _F(spec, MeasureFamily(base.masses - eps * delta, grid=grid,
+                                    validate=False))
         slope = (up - dn) / (2.0 * eps)
         assert slope == pytest.approx(gain, rel=1e-6, abs=1e-9)
 
@@ -234,7 +243,7 @@ def test_gain_shape_mismatch():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=28)
     other = MeasureFamily.zeros(grid.K + 1, grid.J, grid=grid)
     with pytest.raises(ShapeMismatch):
-        directional_gain(spec, m1, other, grid.dt)
+        directional_gain(_f(spec, m1), m1, other, grid.dt)
 
 
 # ----------------------------------------------------------------------
