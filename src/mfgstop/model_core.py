@@ -391,6 +391,14 @@ class TransitionSlice:
     comparison fails on NaN.  apply/apply_adjoint solve the factored
     system; dense() solves against the identity on demand, for small
     oracles, and is never kept.
+
+    For n > 2 the bands pick the factorization.  When A.lower equals
+    A.upper elementwise (as with zero drift and sigma constant in x), M is
+    symmetric, and with the certificate's positive diagonal and strict
+    diagonal dominance it is positive definite: LAPACK's LDL^T
+    (pttrf/pttrs) factors it, P is symmetric and apply_adjoint runs the
+    same solve as apply.  Any other A takes the LU factorization
+    (gttrf/gttrs).  n <= 2 has closed forms.
     """
 
     def __init__(self, A: Tridiagonal, dt: float):
@@ -420,12 +428,15 @@ class TransitionSlice:
             if self._det == 0.0:
                 raise SingularSystem("2x2 step matrix is singular")
         elif self.n > 2:
-            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (m_diag,))
-            dl, d, du, du2, ipiv, info = gttrf(m_lower, m_diag, m_upper)
+            self._symmetric = bool(np.array_equal(A.lower, A.upper))
+            if self._symmetric:
+                pttrf, self._trs = get_lapack_funcs(("pttrf", "pttrs"), (m_diag,))
+                *self._factor, info = pttrf(m_diag, m_lower)
+            else:
+                gttrf, self._trs = get_lapack_funcs(("gttrf", "gttrs"), (m_diag,))
+                *self._factor, info = gttrf(m_lower, m_diag, m_upper)
             if info != 0:
                 raise SingularSystem(f"tridiagonal factorization failed (info={info})")
-            self._factor = (dl, d, du, du2, ipiv)
-            self._gttrs = gttrs
         top = self.row_sums().max()
         if not top <= 1.0 + _ROWSUM_TOL:
             raise ValidationError(
@@ -446,8 +457,10 @@ class TransitionSlice:
                 lo, up = up, lo
             return np.stack([(d1 * rhs[0] - up * rhs[1]) / self._det,
                              (d0 * rhs[1] - lo * rhs[0]) / self._det])
-        dl, d, du, du2, ipiv = self._factor
-        x, info = self._gttrs(dl, d, du, du2, ipiv, rhs, trans=trans)
+        if self._symmetric:
+            x, info = self._trs(*self._factor, rhs)
+        else:
+            x, info = self._trs(*self._factor, rhs, trans=trans)
         if info != 0:
             raise SingularSystem(f"tridiagonal solve failed (info={info})")
         return x
@@ -493,8 +506,9 @@ class TransitionOperator:
 
     Time-homogeneous models store a single slice referenced by every step;
     the *_each methods push a family with one solve per distinct slice
-    and block of about _BLOCK elements.  gttrs solves each right-hand
-    side on its own, so a row's result does not depend on the block.
+    and block of about _BLOCK elements.  gttrs and pttrs solve each
+    right-hand side on its own, so a row's result does not depend on the
+    block.
     """
 
     def __init__(self, slices, slice_map, grid: SpaceTimeGrid | None = None):

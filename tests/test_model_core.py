@@ -1,9 +1,12 @@
 """Grid arithmetic, generator stencils, resolvent operators, reward folding."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from mfgstop import (
     CoefficientFn,
@@ -25,7 +28,7 @@ from mfgstop import (
     discretize_generator,
     fold_reward,
 )
-from conftest import constant_model, random_instance
+from conftest import constant_model, random_instance, src_env
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +304,10 @@ def _bands(n, lower, diag, upper):
                        upper=np.full(n - 1, upper))
 
 
-def _time_dependent_operator(K, J):
+def _time_dependent_operator(K, J, mu=0.3):
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
     model = DiffusionModel(
-        mu=ProductField(CoefficientFn.constant(0.3)),
+        mu=ProductField(CoefficientFn.constant(mu)),
         sigma=ProductField(CoefficientFn.constant(0.4),
                            time=CoefficientFn.affine(1.0, 0.5)))
     return build_transition_operator(model, grid)
@@ -326,8 +329,14 @@ def _time_dependent_operator(K, J):
     TransitionOperator([TransitionSlice(_bands(2100, 0.7, -2.0, 0.9), 0.1),
                         TransitionSlice(_bands(2100, 0.3, -1.5, 0.6), 0.1)],
                        [k % 2 for k in range(37)]),
+    # lower == upper: the LDL^T solve
+    TransitionOperator.homogeneous(TransitionSlice(_bands(3, 0.7, -2.0, 0.7), 0.1), 6),
+    TransitionOperator.homogeneous(TransitionSlice(_bands(50, 0.7, -2.0, 0.7), 0.1), 6),
+    TransitionOperator.homogeneous(TransitionSlice(_bands(2100, 0.7, -2.0, 0.7), 0.1), 30),
+    _time_dependent_operator(7, 50, mu=0.0),
 ], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating", "blocks",
-        "alternating-blocks"])
+        "alternating-blocks", "symmetric-n3", "symmetric-n50", "symmetric-blocks",
+        "symmetric-time-dependent"])
 def test_batched_pushes_match_per_step_bitwise(P):
     rows = np.random.default_rng(8).random((P.K, P.n))
     each = np.array([P.apply(k, rows[k]) for k in range(P.K)])
@@ -340,6 +349,91 @@ def test_batched_pushes_match_per_step_bitwise(P):
         seen += list(np.arange(P.K)[steps])
         assert np.array_equal(pushed, each_adj[steps])
     assert sorted(seen) == list(range(P.K))
+
+
+def test_symmetric_slice_is_its_own_adjoint():
+    # lower == upper: M and P are symmetric, and both directions run
+    # the same LDL^T solve
+    A = _bands(40, 0.7, -2.0, 0.7)
+    dt = 0.1
+    slice_ = TransitionSlice(A, dt)
+    x = np.random.default_rng(9).random((40, 3))
+    assert np.array_equal(slice_.apply(x), slice_.apply_adjoint(x))
+    M = np.eye(40) - dt * A.toarray()
+    np.testing.assert_allclose(slice_.dense(), np.linalg.solve(M, np.eye(40)),
+                               rtol=0, atol=1e-13)
+
+
+def test_one_ulp_asymmetry_takes_the_lu_solve():
+    lower = np.full(39, 0.7)
+    A = Tridiagonal(lower=lower, diag=np.full(40, -2.0),
+                    upper=np.nextafter(lower, np.inf))
+    dt = 0.1
+    slice_ = TransitionSlice(A, dt)
+    dl, d, du, du2, ipiv, info = dgttrf(-dt * A.lower, 1.0 - dt * A.diag, -dt * A.upper)
+    assert info == 0
+    x = np.random.default_rng(10).random(40)
+    for trans, got in (("N", slice_.apply(x)), ("T", slice_.apply_adjoint(x))):
+        want, info = dgttrs(dl, d, du, du2, ipiv, x, trans=trans)
+        assert info == 0
+        assert np.array_equal(got, want)
+
+
+_CPU_HASHES = """
+import ctypes, glob, hashlib, os
+import numpy as np
+import scipy
+from mfgstop import TransitionOperator, TransitionSlice, Tridiagonal
+
+core = None
+libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+    name = ctypes.CDLL(path).scipy_openblas_get_corename
+    name.restype = ctypes.c_char_p
+    core = name().decode()
+n = 301
+x = np.random.default_rng(11).random(n)
+rows = np.random.default_rng(12).random((40, n))
+h = hashlib.sha256()
+for upper in (0.7, 0.9):  # LDL^T, then LU
+    A = Tridiagonal(lower=np.full(n - 1, 0.7), diag=np.full(n, -2.0),
+                    upper=np.full(n - 1, upper))
+    s = TransitionSlice(A, 0.1)
+    for out in (s.apply(x), s.apply_adjoint(x),
+                TransitionOperator.homogeneous(s, 40).apply_each(rows)):
+        h.update(out.tobytes())
+print(core, h.hexdigest())
+"""
+
+
+def _lapack_is_openblas():
+    import scipy
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return "openblas" in lapack["name"].lower()
+
+
+def _has_avx2():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return " avx2" in f.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _lapack_is_openblas(), reason="scipy's LAPACK is not OpenBLAS")
+@pytest.mark.skipif(not _has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
+def test_slice_solves_do_not_depend_on_the_cpu_kernels():
+    # OpenBLAS picks its kernels by CPU; the tridiagonal solves must give
+    # the same bits under any of them
+    seen = {}
+    for coretype in ("Haswell", "Sandybridge"):
+        env = dict(src_env(), OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", _CPU_HASHES], env=env,
+                             capture_output=True, text=True, check=True)
+        core, digest = out.stdout.split()
+        assert core in (coretype, "None")  # the override took, where readable
+        seen[coretype] = digest
+    assert len(set(seen.values())) == 1, seen
 
 
 def test_batched_pushes_reject_wrong_shape():
@@ -404,9 +498,10 @@ def test_time_dependent_build_keeps_no_dense_inverses():
 
 
 def test_lapack_slices_keep_only_their_factors():
-    # per slice and node: the generator's 3 bands, LAPACK's 4 factor
-    # bands and a 4-byte pivot are 7.5 doubles; keeping the 3 bands of
-    # I - dt*A as well would make it 10.5
+    # per slice and node: the generator's 3 bands and LAPACK's factor
+    # are at most 7.5 doubles (this model is symmetric, so its factor is
+    # LDL^T's 2 bands; an LU factor is 4 bands and a 4-byte pivot);
+    # keeping the 3 bands of I - dt*A as well would make it 10.5
     K = J = 300
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
     model = DiffusionModel(
@@ -421,6 +516,21 @@ def test_lapack_slices_keep_only_their_factors():
         tracemalloc.stop()
     assert len(P.slices) == K
     assert retained <= 9 * K * J * 8
+
+
+@pytest.mark.parametrize("mu, doubles", [(0.0, 6), (0.3, 9)], ids=["ldlt", "lu"])
+def test_factor_size_follows_the_solve(mu, doubles):
+    # per slice and node: A's 3 bands plus LDL^T's d and e are 5 doubles,
+    # plus LU's 4 bands and a 4-byte pivot 7.5
+    K = J = 300
+    tracemalloc.start()
+    try:
+        P = _time_dependent_operator(K, J, mu=mu)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(P.slices) == K
+    assert retained <= doubles * K * J * 8
 
 
 # ----------------------------------------------------------------------

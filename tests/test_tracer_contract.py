@@ -17,10 +17,13 @@ import pytest
 from mfgstop import (
     CoefficientFn,
     DiffusionModel,
+    InitialMeasure,
     ProductField,
     TransitionSlice,
     build_grid,
     build_transition_operator,
+    solve_vi,
+    stopped_forward_measure,
 )
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -71,3 +74,32 @@ def test_batched_push_calls_each_distinct_slice_once(monkeypatch):
         calls.clear()
         P.apply_adjoint_each(np.ones((grid.K, grid.J)))
         assert len(calls) == len(set(map(id, calls))) == len(P.slices) == slices
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3], ids=["ldlt", "lu"])
+def test_every_step_solves_through_the_traced_methods(monkeypatch, mu):
+    # perfbench's model_core.solves counts TransitionSlice.apply and
+    # apply_adjoint calls: a backward sweep and a forward push must make
+    # one per step, whichever factorization the slice holds
+    calls = {"apply": 0, "apply_adjoint": 0}
+    for method in calls:
+        original = getattr(TransitionSlice, method)
+
+        def counted(self, x, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(TransitionSlice, method, counted)
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=9, J=5)
+    model = DiffusionModel(mu=ProductField(CoefficientFn.constant(mu)),
+                           sigma=ProductField(CoefficientFn.constant(0.4)))
+    P = build_transition_operator(model, grid)
+    A = P.slices[0].A
+    assert np.array_equal(A.lower, A.upper) == (mu == 0.0)
+    f = np.sin(np.arange(grid.K + 1)[:, None] + np.arange(grid.J)) - 0.2
+    calls.update(apply=0, apply_adjoint=0)
+    v = solve_vi(f, P, grid.dt)
+    assert calls == {"apply": grid.K, "apply_adjoint": 0}
+    calls.update(apply=0)
+    stopped_forward_measure(v.stop_mask, InitialMeasure.uniform(grid), P)
+    assert calls == {"apply": 0, "apply_adjoint": grid.K}
