@@ -52,6 +52,7 @@ from .model_core import (
     TransitionSlice,
     build_grid,
     build_transition_operator,
+    discretize_generator,
     fold_reward,
 )
 from .montecarlo import simulate_paths
@@ -398,9 +399,14 @@ def _write_ledger(out_dir: str, ledger) -> None:
 # commands
 
 
+def _reward_and_value(inst: Instance, crowd: MeasureFamily):
+    """(f, v): the reward f(., crowd) on the grid and its value function."""
+    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, crowd).ys)
+    return f_grid, solve_vi(f_grid, inst.transition, inst.grid.dt)
+
+
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
-    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, inst.zero_family()).ys)
-    v = solve_vi(f_grid, inst.transition, inst.grid.dt)
+    f_grid, v = _reward_and_value(inst, inst.zero_family())
     family, ledger = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
     value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(f_grid, family, inst.grid.dt))
@@ -495,9 +501,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     suite.check("admissibility", bool(rep),
                 f"worst violation {rep.worst_violation:.3e} [{rep.kind}]")
 
-    f_ref = family if is_mfg else inst.zero_family()
-    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, f_ref).ys)
-    v = solve_vi(f_grid, inst.transition, grid.dt)
+    f_grid, v = _reward_and_value(inst, family if is_mfg else inst.zero_family())
     value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(f_grid, family, grid.dt))
     gap_tol = (inst.eps_tol if is_mfg else 0.0) + 1e-10 * (1.0 + abs(value))
@@ -536,7 +540,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     suite.check("fp-residual", worst <= 1e-9,
                 f"worst scaled residual {worst:.3e} over 10 test functions")
 
-    audit = test_function_audit(family, inst.m0, inst.model, grid,
+    audit = test_function_audit(family, inst.m0, inst.transition, grid,
                                 n_functions=100, seed=seed)
     suite.check("audit", audit.worst_normalized >= -1e-9,
                 f"worst normalized slack {audit.worst_normalized:.3e} over 100 functions")
@@ -556,16 +560,17 @@ MC_SUBSTEPS = 16
 
 
 class _SubsteppedSlice:
-    """One step of length dt as MC_SUBSTEPS implicit substeps of A.
+    """Step k of length dt as MC_SUBSTEPS implicit substeps of its generator.
 
     Every substep's push is clamped at 0, as stopped_forward_measure
     clamps each step.  Sigma and mu stay frozen at t_k over step k, as
     the simulator freezes them.
     """
 
-    def __init__(self, A, dt: float):
+    def __init__(self, model: DiffusionModel, grid: SpaceTimeGrid, k: int):
+        A = discretize_generator(model, grid, k)
         self.n = A.n
-        self._step = TransitionSlice(A, dt / MC_SUBSTEPS)
+        self._step = TransitionSlice(A, grid.dt / MC_SUBSTEPS)
 
     def apply_adjoint(self, m: np.ndarray) -> np.ndarray:
         for _ in range(MC_SUBSTEPS):
@@ -577,13 +582,12 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     grid = inst.grid
     is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
     crowd = _read_family(inst, out_dir) if is_mfg else inst.zero_family()
-    f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, crowd).ys)
-    v = solve_vi(f_grid, inst.transition, grid.dt)
+    _, v = _reward_and_value(inst, crowd)
     # v's stop rule acts at slice boundaries only; steps share substep
-    # slices where they share a slice
+    # slices where they share a slice, built at the first step using it
     P = inst.transition
-    fine = TransitionOperator([_SubsteppedSlice(s.A, grid.dt) for s in P.slices],
-                              P.slice_map)
+    fine = TransitionOperator([_SubsteppedSlice(inst.model, grid, np.argmax(P.slice_map == i))
+                               for i in range(len(P.slices))], P.slice_map)
     exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine)[0].slice_totals()
 
     mc_seed = inst.mc_seed if seed is None else seed

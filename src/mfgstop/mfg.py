@@ -227,14 +227,12 @@ class IterationTrace:
     potential: list = field(default_factory=list)
     exploitability: list = field(default_factory=list)
     rho: list = field(default_factory=list)
-    moments: list = field(default_factory=list)
     wall_clock: list = field(default_factory=list)
 
-    def append(self, potential, eps, rho, moment_path, elapsed):
+    def append(self, potential, eps, rho, elapsed):
         self.potential.append(float(potential))
         self.exploitability.append(float(eps))
         self.rho.append(float(rho))
-        self.moments.append(moment_path)
         self.wall_clock.append(float(elapsed))
 
     def __len__(self):
@@ -333,9 +331,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         fam, f, br = br.family, br.f_grid, None
         rho = line_search(spec, it, fam, f, ctx.dt)
         f = None
-        mom = it.ys[0] if it.ys else np.zeros(grid.K + 1)
-        trace.append(potential_value(spec, it), eps, rho, mom,
-                     time.perf_counter() - start)
+        trace.append(potential_value(spec, it), eps, rho, time.perf_counter() - start)
         m = convex_combine(m, fam, rho)
         # drop the old iterate before the next one is built (peak memory)
         it = fam = None

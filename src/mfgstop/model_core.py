@@ -388,9 +388,10 @@ class TransitionSlice:
     nonsingular M-matrix, and P = M^{-1} is entrywise nonnegative (Berman
     & Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6).
     One solve of P 1 then holds the row sums of P to <= 1.  Every
-    comparison fails on NaN.  apply/apply_adjoint solve the factored
-    system; dense() solves against the identity on demand, for small
-    oracles, and is never kept.
+    comparison fails on NaN.  The slice keeps only what its solves read:
+    LAPACK's factors of M, or M's bands for n <= 2; A itself is not kept.
+    apply/apply_adjoint solve the factored system; dense() solves against
+    the identity on demand, for small oracles, and is never kept.
 
     For n > 2 the bands pick the factorization.  When A.lower equals
     A.upper elementwise (as with zero drift and sigma constant in x), M is
@@ -404,7 +405,6 @@ class TransitionSlice:
     def __init__(self, A: Tridiagonal, dt: float):
         if not dt > 0:
             raise ValidationError(f"dt must be positive, got {dt}")
-        self.A = A
         self.dt = float(dt)
         self.n = A.n
         if not (np.all(A.lower >= 0.0) and np.all(A.upper >= 0.0)):

@@ -12,7 +12,9 @@ y_i(t) = <g_i, m_t> and the h pairing H = <h, m>, both linear in m.
 ``Iterate.of`` computes them once per family and is the only code that
 does; the reward, the potential and ``segment_potential`` read them from
 the ``Iterate``.  Along a segment the paths and H interpolate linearly,
-so F at any point of it costs O(K) once both ends are known.
+so F at any point of it costs O(K) once both ends are known.  A
+validated spec holds h as its (K+1, J) grid, evaluated once, which the
+pairing and the reward read as is.
 """
 
 from __future__ import annotations
@@ -136,8 +138,10 @@ class RewardSpec:
 
     h may be a separable field, a precomputed (K+1, J) grid, or absent.
     Call :meth:`validated` to bind the spec to a grid and initial
-    measure; this checks monotonicity and ellipticity-style bounds and
-    freezes the admissible aggregate range used by evaluate_reward.
+    measure; this checks monotonicity and ellipticity-style bounds,
+    freezes the admissible aggregate range used by evaluate_reward, and
+    evaluates a separable h on the grid, so a validated spec's h is a
+    grid or None.
     """
 
     terms: tuple
@@ -169,21 +173,13 @@ class RewardSpec:
                         and np.all(np.isfinite(g.deriv2(grid.x)))):
                     raise ValidationError("coupling g has non-finite derivatives")
             bounds.append(gmax * m0.total)
-        h = self.h
-        if isinstance(h, np.ndarray) and h.shape != grid.shape:
-            raise ShapeMismatch(f"h grid {h.shape}, expected {grid.shape}")
-        if h is not None and not np.all(np.isfinite(self.h_grid(grid))):
-            raise ValidationError("uncoupled reward h is not finite on the grid")
-        return replace(self, grid=grid, y_max=tuple(bounds))
-
-    def h_grid(self, grid: SpaceTimeGrid) -> np.ndarray | None:
-        if self.h is None:
-            return None
-        if isinstance(self.h, np.ndarray):
-            if self.h.shape != grid.shape:
-                raise ShapeMismatch(f"h grid {self.h.shape}, expected {grid.shape}")
-            return self.h
-        return self.h.on_grid(grid)
+        h = self.h.on_grid(grid) if isinstance(self.h, ProductField) else self.h
+        if h is not None:
+            if h.shape != grid.shape:
+                raise ShapeMismatch(f"h grid {h.shape}, expected {grid.shape}")
+            if not np.all(np.isfinite(h)):
+                raise ValidationError("uncoupled reward h is not finite on the grid")
+        return replace(self, h=h, grid=grid, y_max=tuple(bounds))
 
     @property
     def all_linear(self) -> bool:
@@ -206,7 +202,8 @@ class Iterate:
 
     ys holds the moment paths y_i = <g_i, m_t>, one (K+1,) array per
     term, checked against the spec's admissible range; H = <h, m> is the
-    h pairing (0.0 without h).  Build it with :meth:`of`.
+    pairing of the spec's h grid with m (0.0 without h).  Build it with
+    :meth:`of`.
     """
 
     family: MeasureFamily
@@ -227,23 +224,7 @@ class Iterate:
                         f"for term {i}"
                     )
             ys.append(y)
-        h = spec.h
-        if not isinstance(h, ProductField):
-            return cls(m, tuple(ys), 0.0 if h is None else pair(h, m, grid.dt))
-        if m.masses.shape != grid.shape:
-            raise ShapeMismatch(f"family {m.masses.shape} vs grid {grid.shape}")
-        # pair(h.on_grid(grid), m, dt) bit for bit, a block of the grid's
-        # flattened entries at a time.  A whole h grid built and freed at
-        # the top of each iteration makes glibc trim the heap and fault
-        # its pages back in every iteration, which slowed perfbench's
-        # timedep solves
-        tf, sx, J = h.time_factor(grid.t), h.space(grid.x), m.J
-        b = np.ravel(m.masses[:m.K])
-
-        def term(i, j):
-            return np.outer(tf[i // J:-(-j // J)], sx).ravel()[i % J:][:j - i] * b[i:j]
-
-        return cls(m, tuple(ys), float(grid.dt * _block_sum(term, 0, b.size)))
+        return cls(m, tuple(ys), 0.0 if spec.h is None else pair(spec.h, m, grid.dt))
 
 
 def evaluate_reward(spec: RewardSpec, ys: tuple) -> np.ndarray:
@@ -261,9 +242,8 @@ def evaluate_reward(spec: RewardSpec, ys: tuple) -> np.ndarray:
         fy, gx = fbar.f_bar(grid.t, y), g(grid.x)
         for rows in _row_blocks(*f.shape):
             f[rows] += np.outer(fy[rows], gx)
-    h = spec.h_grid(grid)
-    if h is not None:
-        f += h
+    if spec.h is not None:
+        f += spec.h
     return f
 
 

@@ -141,11 +141,11 @@ def per_value_grid_csv_text(grid, values):
     return "".join(rows)
 
 
-def substepped_totals(P, m0, v, substeps):
+def substepped_totals(model, P, m0, v, substeps):
     """Slice totals of v's stop rule under `substeps` implicit substeps per step.
 
     mc-check's reference as its own loop: substeps use step k's
-    generator, consecutive steps with one slice share one substep
+    generator, consecutive steps with one slice of P share one substep
     operator, the stop rule acts at slice boundaries only, and every
     substep's push is clamped at 0.  mc-check must reproduce it bit for
     bit.
@@ -156,9 +156,8 @@ def substepped_totals(P, m0, v, substeps):
     totals[0] = m.sum()
     step = None
     for k in range(P.K):
-        A = P.slice_at(k).A
-        if step is None or step.A is not A:
-            step = TransitionSlice(A, P.dt / substeps)
+        if step is None or P.slice_at(k) is not P.slice_at(k - 1):
+            step = TransitionSlice(discretize_generator(model, P.grid, k), P.dt / substeps)
         for _ in range(substeps):
             m = np.maximum(step.apply_adjoint(m), 0.0)
         m = m * cont[k + 1]

@@ -132,18 +132,17 @@ def test_criterion_3_complementarity_and_forward_identity(capsys):
 
 
 def test_criterion_4_admissibility_and_audit(capsys, congestion_solution):
-    emitted = [(grid, model, P, m0, family)
+    emitted = [(grid, P, m0, family)
                for grid, model, P, m0, f, v, family in _duality_runs()]
-    emitted.append((congestion_solution["grid"], congestion_solution["model"],
-                    congestion_solution["P"], congestion_solution["m0"],
-                    congestion_solution["result"].m_star))
+    emitted.append((congestion_solution["grid"], congestion_solution["P"],
+                    congestion_solution["m0"], congestion_solution["result"].m_star))
     worst_adm = 0.0
     worst_slack = 0.0
-    for i, (grid, model, P, m0, family) in enumerate(emitted):
+    for i, (grid, P, m0, family) in enumerate(emitted):
         rep = is_admissible(family, m0, P, tol=1e-10)
         assert bool(rep), f"measure {i} inadmissible: {rep.kind} {rep.worst_violation:.3e}"
         worst_adm = max(worst_adm, rep.worst_violation)
-        audit = function_audit(family, m0, model, grid,
+        audit = function_audit(family, m0, P, grid,
                                n_functions=100, seed=4000 + i)
         worst_slack = min(worst_slack, audit.worst_normalized)
     ok = worst_adm <= 1e-10 and worst_slack >= -1e-9

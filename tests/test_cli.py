@@ -456,7 +456,7 @@ def test_mc_reference_matches_substep_loop(tmp_path, sigma_time):
     inner = v.stop_mask[:-1, 1:-1]
     assert inner.any() and not inner.all()
     np.testing.assert_array_equal(
-        exact, substepped_totals(inst.transition, inst.m0, v, MC_SUBSTEPS))
+        exact, substepped_totals(inst.model, inst.transition, inst.m0, v, MC_SUBSTEPS))
 
 
 # ----------------------------------------------------------------------

@@ -127,14 +127,14 @@ def test_simplex_rejects_large_instances():
 def test_audit_zero_measure_nonnegative():
     grid, model, P, m0 = make_instance(K=6, J=6)
     m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
-    res = function_audit(m, m0, model, grid, n_functions=50, seed=0)
+    res = function_audit(m, m0, P, grid, n_functions=50, seed=0)
     assert res.worst_slack >= 0.0
 
 
 def test_audit_all_continue_nonnegative():
     grid, model, P, m0 = make_instance(K=8, J=6)
     bar = stopped_forward_measure(None, m0, P)[0]
-    res = function_audit(bar, m0, model, grid, n_functions=100, seed=0)
+    res = function_audit(bar, m0, P, grid, n_functions=100, seed=0)
     assert res.worst_normalized >= -1e-9
 
 
@@ -143,7 +143,7 @@ def test_audit_forward_measures_nonnegative():
     for _ in range(5):
         grid, model, P, m0, f = random_instance(rng)
         m = random_admissible_measure(P, m0, grid, rng)
-        res = function_audit(m, m0, model, grid, n_functions=100,
+        res = function_audit(m, m0, P, grid, n_functions=100,
                                   seed=int(rng.integers(1 << 30)))
         assert res.worst_normalized >= -1e-9
 
@@ -155,7 +155,7 @@ def test_audit_detects_inflated_node():
     m.masses[3, 2] *= 1.5
     found = False
     for seed in range(100):
-        res = function_audit(m, m0, model, grid, n_functions=100, seed=seed)
+        res = function_audit(m, m0, P, grid, n_functions=100, seed=seed)
         if res.worst_slack < 0.0:
             found = True
             break

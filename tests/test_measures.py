@@ -386,13 +386,14 @@ def test_pair_and_gain_sums_are_the_one_shot_sums_bitwise(shape):
 
 @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
 def test_h_pairing_is_the_pairing_with_the_h_grid_bitwise(shape):
-    # Iterate.of pairs a separable h with the family a block of the h
-    # grid's entries at a time, without building the grid
-    grid, m1, _, rng = _block_case(shape, 23)
+    # validated() evaluates a separable h on the grid once and keeps that
+    # grid, which Iterate.of pairs with the family
+    grid, m1, _, _ = _block_case(shape, 23)
     h = ProductField(CoefficientFn.polynomial(0.3, -1.0, 2.0),
                      time=CoefficientFn.affine(1.0, -0.7))
-    spec = RewardSpec(terms=(), h=h, grid=grid)
-    assert _bits(Iterate.of(spec, m1).H) == _bits(pair(h.on_grid(grid), m1, grid.dt))
+    spec = RewardSpec(terms=(), h=h).validated(grid, InitialMeasure.uniform(grid))
+    assert _bits(spec.h) == _bits(h.on_grid(grid))
+    assert _bits(Iterate.of(spec, m1).H) == _bits(pair(spec.h, m1, grid.dt))
 
 
 @pytest.mark.parametrize("shape", _BLOCK_SHAPES)

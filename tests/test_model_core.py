@@ -498,10 +498,9 @@ def test_time_dependent_build_keeps_no_dense_inverses():
 
 
 def test_lapack_slices_keep_only_their_factors():
-    # per slice and node: the generator's 3 bands and LAPACK's factor
-    # are at most 7.5 doubles (this model is symmetric, so its factor is
-    # LDL^T's 2 bands; an LU factor is 4 bands and a 4-byte pivot);
-    # keeping the 3 bands of I - dt*A as well would make it 10.5
+    # per slice and node: this model is symmetric, so a slice keeps
+    # LDL^T's 2 factor bands; keeping the generator's 3 bands or the 3
+    # bands of I - dt*A as well would make it 5
     K = J = 300
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
     model = DiffusionModel(
@@ -515,13 +514,13 @@ def test_lapack_slices_keep_only_their_factors():
     finally:
         tracemalloc.stop()
     assert len(P.slices) == K
-    assert retained <= 9 * K * J * 8
+    assert retained <= 2.5 * K * J * 8
 
 
-@pytest.mark.parametrize("mu, doubles", [(0.0, 6), (0.3, 9)], ids=["ldlt", "lu"])
+@pytest.mark.parametrize("mu, doubles", [(0.0, 2.5), (0.3, 5.2)], ids=["ldlt", "lu"])
 def test_factor_size_follows_the_solve(mu, doubles):
-    # per slice and node: A's 3 bands plus LDL^T's d and e are 5 doubles,
-    # plus LU's 4 bands and a 4-byte pivot 7.5
+    # per slice and node: LDL^T's d and e are 2 doubles, LU's 4 bands and
+    # a 4-byte pivot 4.5; the generator's 3 bands, if kept, would add 3
     K = J = 300
     tracemalloc.start()
     try:

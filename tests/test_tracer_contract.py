@@ -22,6 +22,7 @@ from mfgstop import (
     TransitionSlice,
     build_grid,
     build_transition_operator,
+    discretize_generator,
     solve_vi,
     stopped_forward_measure,
 )
@@ -94,7 +95,7 @@ def test_every_step_solves_through_the_traced_methods(monkeypatch, mu):
     model = DiffusionModel(mu=ProductField(CoefficientFn.constant(mu)),
                            sigma=ProductField(CoefficientFn.constant(0.4)))
     P = build_transition_operator(model, grid)
-    A = P.slices[0].A
+    A = discretize_generator(model, grid, 0)
     assert np.array_equal(A.lower, A.upper) == (mu == 0.0)
     f = np.sin(np.arange(grid.K + 1)[:, None] + np.arange(grid.J)) - 0.2
     calls.update(apply=0, apply_adjoint=0)
