@@ -458,11 +458,17 @@ def test_golden_section_moments_per_iteration_and_repeatability(monkeypatch):
                                   np.asarray(second.trace.rho))
 
 
-def test_each_family_is_paired_with_h_once(monkeypatch):
+@pytest.mark.parametrize("h_kind", ["field", "grid"])
+def test_each_family_is_paired_with_h_once(monkeypatch, h_kind):
     # F reads a family only through its moment paths and h pairing, and
     # each iteration builds them once for the iterate and once for the
-    # best response, the other end of the golden section
+    # best response, the other end of the golden section; h given as a
+    # grid is validated into the same grid a separable h evaluates to
     spec, ctx = _timedep_game()
+    if h_kind == "grid":
+        given = RewardSpec(terms=spec.terms, h=spec.h.copy()).validated(ctx.grid, ctx.m0)
+        np.testing.assert_array_equal(given.h, spec.h)
+        spec = given
     calls = _count_moment_calls(monkeypatch)
     pairings = []
     real = mfgstop.reward.pair
