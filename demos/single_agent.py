@@ -35,17 +35,17 @@ def main() -> None:
     m0 = InitialMeasure.from_masses(w / w.sum())
     f = np.tile(1.44 - grid.x ** 2, (grid.K + 1, 1))
 
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     family, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     value = value_at_initial(v, m0)
-    paired = pair(f, family, grid.dt)
+    paired = pair(f, family)
 
     print("single-agent stopping on (-3, 3), sigma = 0.5, T = 1")
     print(f"  value at the initial law        {value:.12f}")
     print(f"  reward paired with the measure  {paired:.12f}")
     print(f"  duality gap                     {abs(value - paired):.3e}")
 
-    comp = complementarity_report(v, f, family, P, grid.dt)
+    comp = complementarity_report(v, f, family, P)
     print(f"  mass on the stop region         {comp.stop_region_integral:.3e}")
     print(f"  continuation residual           {comp.continuation_residual:.3e}")
     print(f"  mass ledger: stopped {ledger.total_stopped:.4f}, "

@@ -178,7 +178,7 @@ class Instance:
                             transition=self.transition, m0=self.m0)
 
     def zero_family(self) -> MeasureFamily:
-        return MeasureFamily.zeros(self.grid.K, self.grid.J, grid=self.grid)
+        return MeasureFamily.zeros(self.grid)
 
     def initial_family(self) -> MeasureFamily:
         if self.m_init == "zero":
@@ -402,14 +402,14 @@ def _write_ledger(out_dir: str, ledger) -> None:
 def _reward_and_value(inst: Instance, crowd: MeasureFamily):
     """(f, v): the reward f(., crowd) on the grid and its value function."""
     f_grid = evaluate_reward(inst.spec, Iterate.of(inst.spec, crowd).ys)
-    return f_grid, solve_vi(f_grid, inst.transition, inst.grid.dt)
+    return f_grid, solve_vi(f_grid, inst.transition)
 
 
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
     f_grid, v = _reward_and_value(inst, inst.zero_family())
     family, ledger = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
     value = value_at_initial(v, inst.m0)
-    gap = abs(value - pair(f_grid, family, inst.grid.dt))
+    gap = abs(value - pair(f_grid, family))
 
     _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, v.values))
     _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, family.masses))
@@ -482,7 +482,7 @@ def _read_family(inst: Instance, out_dir: str) -> MeasureFamily:
             f"measure CSV shape {masses.shape} does not match config grid {grid.shape}")
     if not (np.array_equal(times, grid.t) and np.array_equal(nodes, grid.x)):
         raise VerificationFailure("measure CSV coordinates differ from config grid")
-    return MeasureFamily(masses, grid=grid, validate=False)
+    return MeasureFamily(masses, grid, validate=False)
 
 
 def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
@@ -503,7 +503,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
 
     f_grid, v = _reward_and_value(inst, family if is_mfg else inst.zero_family())
     value = value_at_initial(v, inst.m0)
-    gap = abs(value - pair(f_grid, family, grid.dt))
+    gap = abs(value - pair(f_grid, family))
     gap_tol = (inst.eps_tol if is_mfg else 0.0) + 1e-10 * (1.0 + abs(value))
     suite.check("duality", gap <= gap_tol, f"gap {gap:.3e} <= {gap_tol:.3e}")
 
@@ -517,7 +517,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     suite.check("value-agreement", vgap <= 1e-9 * (1.0 + abs(value)),
                 f"summary value within {vgap:.3e} of recomputation")
 
-    comp = complementarity_report(v, f_grid, family, inst.transition, grid.dt)
+    comp = complementarity_report(v, f_grid, family, inst.transition)
     if is_mfg:
         int_tol = res_tol = 1e-7
     else:
@@ -540,7 +540,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     suite.check("fp-residual", worst <= 1e-9,
                 f"worst scaled residual {worst:.3e} over 10 test functions")
 
-    audit = test_function_audit(family, inst.m0, inst.transition, grid,
+    audit = test_function_audit(family, inst.m0, inst.transition,
                                 n_functions=100, seed=seed)
     suite.check("audit", audit.worst_normalized >= -1e-9,
                 f"worst normalized slack {audit.worst_normalized:.3e} over 100 functions")
@@ -587,7 +587,7 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     # slices where they share a slice, built at the first step using it
     P = inst.transition
     fine = TransitionOperator([_SubsteppedSlice(inst.model, grid, np.argmax(P.slice_map == i))
-                               for i in range(len(P.slices))], P.slice_map)
+                               for i in range(len(P.slices))], P.slice_map, grid)
     exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine)[0].slice_totals()
 
     mc_seed = inst.mc_seed if seed is None else seed

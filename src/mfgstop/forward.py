@@ -95,7 +95,7 @@ def stopped_forward_measure(stop_mask: np.ndarray | None, m0: InitialMeasure,
             stopped[k + 1] = row @ stop_mask[k + 1]
             row *= ~stop_mask[k + 1]
 
-    family = MeasureFamily(out, grid=P.grid, validate=False)
+    family = MeasureFamily(out, P.grid, validate=False)
     ledger = MassLedger(initial=m0.total, stopped_per_step=stopped,
                         absorbed_per_step=absorbed,
                         surviving=float(out[K].sum()))

@@ -48,7 +48,7 @@ class EnumerationResult:
 
 
 def enumerate_stopping_rules(f_grid: np.ndarray, P: TransitionOperator,
-                             m0: InitialMeasure, dt: float) -> EnumerationResult:
+                             m0: InitialMeasure) -> EnumerationResult:
     """Brute-force the best pure Markov stopping rule.
 
     Evaluates every stop/continue assignment over interior nodes and
@@ -67,6 +67,7 @@ def enumerate_stopping_rules(f_grid: np.ndarray, P: TransitionOperator,
         )
     n_rules = 1 << cells
     dense = [P.dense(k) for k in range(K)]
+    dt = P.grid.dt
 
     best_val = -np.inf
     best_rule_idx = 0
@@ -107,8 +108,7 @@ class SimplexResult:
 
 
 def lp_solve_small(f_grid: np.ndarray, P: TransitionOperator,
-                   m0: InitialMeasure, dt: float,
-                   max_pivots: int = 200_000) -> SimplexResult:
+                   m0: InitialMeasure, max_pivots: int = 200_000) -> SimplexResult:
     """Solve the occupation-measure linear program with a dense simplex.
 
     Variables are the masses at slices 0..K-1 (the final slice carries no
@@ -126,7 +126,7 @@ def lp_solve_small(f_grid: np.ndarray, P: TransitionOperator,
     if n > _MAX_LP_VARS:
         raise InstanceTooLarge(f"simplex oracle limited to {_MAX_LP_VARS} variables")
 
-    c = (dt * f[:K]).ravel()
+    c = (P.grid.dt * f[:K]).ravel()
     m_rows = K * J
     G = np.zeros((m_rows, n))
     h = np.zeros(m_rows)
@@ -177,7 +177,7 @@ def lp_solve_small(f_grid: np.ndarray, P: TransitionOperator,
     out = np.empty((K + 1, J))
     out[:K] = masses
     out[K] = P.apply_adjoint(K - 1, masses[K - 1])
-    family = MeasureFamily(out, grid=P.grid, validate=False)
+    family = MeasureFamily(out, P.grid, validate=False)
     return SimplexResult(value=float(T[-1, -1]), family=family, iterations=pivots)
 
 
@@ -200,18 +200,18 @@ class AuditResult:
         return float((self.slacks / self.scales).min())
 
 
-def test_function_audit(m: MeasureFamily, m0: InitialMeasure,
-                        P: TransitionOperator, grid: SpaceTimeGrid,
+def test_function_audit(m: MeasureFamily, m0: InitialMeasure, P: TransitionOperator,
                         n_functions: int = 100, seed: int = 0) -> AuditResult:
     """Check the weak form <u_0, m0> + sum_k dt <D_k u, m_k> >= 0 for
-    random u >= 0, with D_k read from the transition operator P.
+    random u >= 0 on P's grid, with D_k read from the transition operator P.
 
     It holds exactly for every admissible family and fails, for some u,
     on families that create mass.  Test functions are sums of space-time
     bumps from the catalog shifted to be nonnegative.
     """
-    if m.masses.shape != grid.shape:
-        raise ShapeMismatch("family does not live on the given grid")
+    grid = P.grid
+    if m.grid != grid:
+        raise ShapeMismatch("family does not live on the operator's grid")
     rng = np.random.default_rng(seed)
     slacks = np.empty(n_functions)
     scales = np.empty(n_functions)
@@ -241,23 +241,21 @@ def _random_nonneg_function(grid: SpaceTimeGrid, rng: np.random.Generator) -> np
 # admissible samples for audits
 
 def random_admissible_measure(P: TransitionOperator, m0: InitialMeasure,
-                              grid: SpaceTimeGrid, rng: np.random.Generator,
-                              n_mix: int = 3) -> MeasureFamily:
+                              rng: np.random.Generator, n_mix: int = 3) -> MeasureFamily:
     """A random point of the admissible polytope.
 
     Draw random reward grids, take the forward measures of their value
     functions, and mix them with random convex weights (optionally with
     the zero family, which is always admissible).
     """
-    K, J = grid.K, grid.J
     parts = []
     for _ in range(n_mix):
-        f = rng.normal(size=(K + 1, J))
-        v = solve_vi(f, P, grid.dt)
+        f = rng.normal(size=P.grid.shape)
+        v = solve_vi(f, P)
         fam, _ = stopped_forward_measure(v.stop_mask, m0, P)
         parts.append(fam)
     if rng.random() < 0.3:
-        parts.append(MeasureFamily.zeros(K, J, grid=grid))
+        parts.append(MeasureFamily.zeros(P.grid))
     w = rng.dirichlet(np.ones(len(parts)))
     out = parts[0]
     acc = w[0]

@@ -58,20 +58,21 @@ def _block_sum(term, lo: int, hi: int) -> float:
 
 @dataclass
 class MeasureFamily:
-    """Masses on interior nodes per time slice, shape (K+1, J).
+    """Masses on interior nodes per time slice, shape (K+1, J) of its grid.
 
     Slice totals never exceed the initial total; masses are nonnegative.
-    A grid reference is optional but required for moment evaluation.
+    The grid gives the moments their nodes and the pairing its dt.
     """
 
     masses: np.ndarray
-    grid: SpaceTimeGrid | None = None
+    grid: SpaceTimeGrid
     validate: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 2:
-            raise ShapeMismatch("measure family must be (K+1, J)")
+        if m.shape != self.grid.shape:
+            raise ShapeMismatch(
+                f"measure family has shape {m.shape}, its grid {self.grid.shape}")
         self.masses = m
         if self.validate:
             if not np.all(np.isfinite(m)):
@@ -93,8 +94,8 @@ class MeasureFamily:
         return self.masses.sum(axis=1)
 
     @classmethod
-    def zeros(cls, K: int, J: int, grid: SpaceTimeGrid | None = None) -> "MeasureFamily":
-        return cls(np.zeros((K + 1, J)), grid=grid, validate=False)
+    def zeros(cls, grid: SpaceTimeGrid) -> "MeasureFamily":
+        return cls(np.zeros(grid.shape), grid, validate=False)
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,6 @@ def moment(m: MeasureFamily, g: CoefficientFn) -> np.ndarray:
     repeats bit for bit.  Rows go a block at a time, which sums each
     row as the whole-family reduction does.
     """
-    if m.grid is None:
-        raise ValidationError("moment needs a measure family with a grid")
     A = m.masses
     gx = g(m.grid.x)
     out = np.empty(A.shape[0])
@@ -167,8 +166,8 @@ def moment(m: MeasureFamily, g: CoefficientFn) -> np.ndarray:
     return out
 
 
-def pair(f_grid: np.ndarray, m: MeasureFamily, dt: float) -> float:
-    """Left-endpoint pairing sum_{k<K} dt * <f(t_k, .), m_k>.
+def pair(f_grid: np.ndarray, m: MeasureFamily) -> float:
+    """Left-endpoint pairing sum_{k<K} dt * <f(t_k, .), m_k>, dt of m's grid.
 
     The final slice carries no dt weight, which makes this pairing the
     exact linear-programming objective dual to the backward recursion.
@@ -180,7 +179,7 @@ def pair(f_grid: np.ndarray, m: MeasureFamily, dt: float) -> float:
         raise ShapeMismatch(f"reward grid {f.shape} vs family {m.masses.shape}")
     K = m.K
     a, b = np.ravel(f[:K]), np.ravel(m.masses[:K])
-    return float(dt * _block_sum(lambda i, j: a[i:j] * b[i:j], 0, a.size))
+    return float(m.grid.dt * _block_sum(lambda i, j: a[i:j] * b[i:j], 0, a.size))
 
 
 def convex_combine(m1: MeasureFamily, m2: MeasureFamily, rho: float) -> MeasureFamily:
@@ -196,4 +195,4 @@ def convex_combine(m1: MeasureFamily, m2: MeasureFamily, rho: float) -> MeasureF
     out = (1.0 - rho) * m1.masses
     for rows in _row_blocks(*out.shape):
         out[rows] += rho * m2.masses[rows]
-    return MeasureFamily(out, grid=m1.grid or m2.grid, validate=False)
+    return MeasureFamily(out, m1.grid, validate=False)

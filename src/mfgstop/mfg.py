@@ -17,8 +17,8 @@ Near a mixed equilibrium Frank-Wolfe zig-zags between a few vertices,
 so the same stop rules come back as best responses again and again.
 Within one solve m0 and the transitions are fixed, and the forward push
 of m0 depends only on the stop mask, so a ``PushCache`` keyed by the
-exact mask returns a recurring rule's (family, ledger) without pushing
-again, bitwise equal to a fresh push.  To bound memory it keeps a push
+exact mask returns a recurring rule's family without pushing again,
+bitwise equal to a fresh push.  To bound memory it keeps a push
 only once its rule has recurred among the last few best responses, and
 at most three of them.  The loop holds no value grid: a best response
 keeps only the stop mask of its obstacle problem, and the best iterate
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConcaveDetected, SolverError, ValidationError
+from .errors import NonConcaveDetected, ShapeMismatch, SolverError, ValidationError
 from .forward import MassLedger, measure_ledger, stopped_forward_measure
 # perfbench/tracer.py patches moment in this namespace, so it stays imported
 from .measures import MeasureFamily, convex_combine, moment, pair  # noqa: F401
@@ -71,23 +71,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Everything the single-agent layer needs about the instance."""
+    """Everything the single-agent layer needs about the instance; the
+    transition must live on the context's grid."""
 
     grid: SpaceTimeGrid
     model: DiffusionModel
     transition: TransitionOperator
     m0: InitialMeasure
 
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
+    def __post_init__(self):
+        if self.transition.grid != self.grid:
+            raise ShapeMismatch("the transition lives on another grid than the context")
 
 
 @dataclass(frozen=True)
 class BestResponse:
     family: MeasureFamily
     f_grid: np.ndarray
-    ledger: MassLedger
     exploitability: float
 
 
@@ -99,7 +99,8 @@ class PushCache:
     is stored only when its mask is among the last WINDOW masks seen; at
     most CAP are held (measured atom sets have 1-3 members), and the
     least recently used one goes first.  A hit hands out the stored
-    arrays, which nobody writes to.
+    arrays, which nobody writes to.  The push's mass ledger is not kept:
+    ``measure_ledger`` recomputes it from the family.
     """
 
     CAP = 3
@@ -107,16 +108,16 @@ class PushCache:
 
     def __init__(self, ctx: ModelContext):
         self.ctx = ctx
-        self.pushes: OrderedDict[bytes, tuple[MeasureFamily, MassLedger]] = OrderedDict()
+        self.pushes: OrderedDict[bytes, MeasureFamily] = OrderedDict()
         self.recent: deque[bytes] = deque(maxlen=self.WINDOW)
 
-    def push(self, stop_mask: np.ndarray) -> tuple[MeasureFamily, MassLedger]:
+    def push(self, stop_mask: np.ndarray) -> MeasureFamily:
         key = np.packbits(stop_mask).tobytes()
         out = self.pushes.get(key)
         if out is not None:
             self.pushes.move_to_end(key)
         else:
-            out = stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)
+            out = stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)[0]
             if key in self.recent:
                 self.pushes[key] = out
                 if len(self.pushes) > self.CAP:
@@ -134,15 +135,15 @@ def best_response(spec: RewardSpec, it: Iterate, ctx: ModelContext,
     ``PushCache`` of ctx, and the push is taken from it.  Only the stop
     mask of the value function is kept, so no value grid is live during
     the push and the pairings; its value grid is
-    ``solve_vi(f_grid, ctx.transition, ctx.dt)``."""
+    ``solve_vi(f_grid, ctx.transition)``."""
     f = evaluate_reward(spec, it.ys)
-    stop = solve_vi(f, ctx.transition, ctx.dt).stop_mask
+    stop = solve_vi(f, ctx.transition).stop_mask
     if pushes is None:
-        fam, ledger = stopped_forward_measure(stop, ctx.m0, ctx.transition)
+        fam = stopped_forward_measure(stop, ctx.m0, ctx.transition)[0]
     else:
-        fam, ledger = pushes.push(stop)
-    eps = pair(f, fam, ctx.dt) - pair(f, it.family, ctx.dt)
-    return BestResponse(family=fam, f_grid=f, ledger=ledger, exploitability=eps)
+        fam = pushes.push(stop)
+    eps = pair(f, fam) - pair(f, it.family)
+    return BestResponse(family=fam, f_grid=f, exploitability=eps)
 
 
 _CONCAVITY_SLACK = 1e-8
@@ -151,7 +152,7 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def line_search(spec: RewardSpec, it: Iterate, m_tilde: MeasureFamily,
-                f: np.ndarray, dt: float) -> float:
+                f: np.ndarray) -> float:
     """Maximize rho -> F(m + rho (m_tilde - m)) over [0, 1], m = it.family.
 
     All-linear specs admit a closed-form quadratic maximizer, from the
@@ -163,8 +164,8 @@ def line_search(spec: RewardSpec, it: Iterate, m_tilde: MeasureFamily,
     """
     m = it.family
     if spec.all_linear:
-        gain = directional_gain(f, m, m_tilde, dt)
-        grid = m.grid if m.grid is not None else spec.grid
+        gain = directional_gain(f, m, m_tilde)
+        grid = m.grid
         K = m.K
         curv = 0.0
         for fbar, g in spec.terms:
@@ -179,7 +180,7 @@ def line_search(spec: RewardSpec, it: Iterate, m_tilde: MeasureFamily,
             for rows in _row_blocks(K, m.J):
                 delta[rows] = (m_tilde.masses[rows] - m.masses[rows]) @ gy
             th = fbar.theta(grid.t[:K])
-            curv += b * dt * float(np.sum(th * delta * delta))
+            curv += b * grid.dt * float(np.sum(th * delta * delta))
         if curv <= 0.0:
             return 1.0 if gain > 0.0 else 0.0
         if gain <= 0.0:
@@ -297,9 +298,9 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
     check_budget(max_iters, eps_tol)
     grid = ctx.grid
     if m_init is None:
-        m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+        m = MeasureFamily.zeros(grid)
     else:
-        if m_init.masses.shape != grid.shape:
+        if m_init.grid != grid:
             raise ValidationError("m_init does not live on the context grid")
         m = m_init
 
@@ -329,7 +330,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         # through the line search, so that the next best_response runs
         # without this response's reward (peak memory)
         fam, f, br = br.family, br.f_grid, None
-        rho = line_search(spec, it, fam, f, ctx.dt)
+        rho = line_search(spec, it, fam, f)
         f = None
         trace.append(potential_value(spec, it), eps, rho, time.perf_counter() - start)
         m = convex_combine(m, fam, rho)
@@ -348,7 +349,7 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
     br = pushes = None  # before the grids built below (peak memory)
     if f is None:
         f = evaluate_reward(spec, it.ys)
-    v = solve_vi(f, ctx.transition, ctx.dt)
+    v = solve_vi(f, ctx.transition)
 
     return FixedPointResult(
         m_star=m,
@@ -360,6 +361,6 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         exploitability=float(eps),
         potential=potential_value(spec, it),
         value=value_at_initial(v, ctx.m0),
-        pair_value=pair(f, m, ctx.dt),
+        pair_value=pair(f, m),
         ledger=measure_ledger(m, ctx.m0, ctx.transition),
     )

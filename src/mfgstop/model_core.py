@@ -405,7 +405,6 @@ class TransitionSlice:
     def __init__(self, A: Tridiagonal, dt: float):
         if not dt > 0:
             raise ValidationError(f"dt must be positive, got {dt}")
-        self.dt = float(dt)
         self.n = A.n
         if not (np.all(A.lower >= 0.0) and np.all(A.upper >= 0.0)):
             raise ValidationError(
@@ -508,12 +507,19 @@ class TransitionOperator:
     the *_each methods push a family with one solve per distinct slice
     and block of about _BLOCK elements.  gttrs and pttrs solve each
     right-hand side on its own, so a row's result does not depend on the
-    block.
+    block.  The grid is the one every consumer reads dt, t and x from;
+    the operator has one step per time step of it and one node per
+    interior node.
     """
 
-    def __init__(self, slices, slice_map, grid: SpaceTimeGrid | None = None):
+    def __init__(self, slices, slice_map, grid: SpaceTimeGrid):
         self.slices = list(slices)
         self.slice_map = np.asarray(slice_map, dtype=int)
+        if len(self.slice_map) != grid.K:
+            raise ShapeMismatch(
+                f"slice_map has {len(self.slice_map)} steps, the grid K={grid.K}")
+        if any(s.n != grid.J for s in self.slices):
+            raise ShapeMismatch(f"a slice does not have the grid's J={grid.J} nodes")
         if self.slice_map.min() < 0 or self.slice_map.max() >= len(self.slices):
             raise ValidationError("slice_map references missing slices")
         self.grid = grid
@@ -530,9 +536,8 @@ class TransitionOperator:
                 self._blocks.append((s, b if run else steps[b]))
 
     @classmethod
-    def homogeneous(cls, slice_: TransitionSlice, K: int,
-                    grid: SpaceTimeGrid | None = None) -> "TransitionOperator":
-        return cls([slice_], np.zeros(K, dtype=int), grid=grid)
+    def homogeneous(cls, slice_: TransitionSlice, grid: SpaceTimeGrid) -> "TransitionOperator":
+        return cls([slice_], np.zeros(grid.K, dtype=int), grid)
 
     @property
     def K(self) -> int:
@@ -541,10 +546,6 @@ class TransitionOperator:
     @property
     def n(self) -> int:
         return self.slices[0].n
-
-    @property
-    def dt(self) -> float:
-        return self.slices[0].dt
 
     def slice_at(self, k: int) -> TransitionSlice:
         return self.slices[self.slice_map[k]]
@@ -600,10 +601,10 @@ def build_transition_operator(model: DiffusionModel, grid: SpaceTimeGrid) -> Tra
     dt = grid.dt
     if model.time_constant:
         sl = TransitionSlice(discretize_generator(model, grid, 0), dt)
-        return TransitionOperator.homogeneous(sl, grid.K, grid=grid)
+        return TransitionOperator.homogeneous(sl, grid)
     slices = [TransitionSlice(discretize_generator(model, grid, k), dt)
               for k in range(grid.K)]
-    return TransitionOperator(slices, np.arange(grid.K), grid=grid)
+    return TransitionOperator(slices, np.arange(grid.K), grid)
 
 
 # ----------------------------------------------------------------------

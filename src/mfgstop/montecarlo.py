@@ -65,7 +65,6 @@ class PathStats:
 @dataclass(frozen=True)
 class McResult:
     family: MeasureFamily
-    stderr: np.ndarray
     stats: PathStats
 
 
@@ -158,12 +157,10 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
             survived += n_surv
 
     absorbed = n_paths - stopped - survived
-    family = MeasureFamily(tallies / n_paths, grid=grid, validate=False)
-    p = family.masses
-    stderr = np.sqrt(p * (1.0 - p) / n_paths)
+    family = MeasureFamily(tallies / n_paths, grid, validate=False)
     stats = PathStats(n_paths=n_paths, stopped=stopped,
                       absorbed=absorbed, survived=survived)
-    return McResult(family=family, stderr=stderr, stats=stats)
+    return McResult(family=family, stats=stats)
 
 
 def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,

@@ -50,8 +50,9 @@ class ValueFunction:
         return self.values.shape[1]
 
 
-def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunction:
-    """Backward recursion v_k = max(0, dt f_k + P_k v_{k+1}), v_K = 0.
+def solve_vi(f_grid: np.ndarray, P: TransitionOperator) -> ValueFunction:
+    """Backward recursion v_k = max(0, dt f_k + P_k v_{k+1}), v_K = 0,
+    with dt the time step of P's grid.
 
     Parameters
     ----------
@@ -60,8 +61,6 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunct
         pairing carries no weight there).
     P : TransitionOperator
         Per-step transitions.
-    dt : float
-        Time step, must match the operator's.
 
     Returns
     -------
@@ -81,7 +80,7 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator, dt: float) -> ValueFunct
     # with 0.0 as the first argument: on a tie of signed zeros the
     # result of np.maximum depends on the argument order
     v = np.empty((K + 1, J))
-    np.multiply(dt, f[:K], out=v[:K])
+    np.multiply(P.grid.dt, f[:K], out=v[:K])
     v[K] = 0.0
     for k in range(K - 1, -1, -1):
         row = v[k]
@@ -123,13 +122,12 @@ class ComplementarityReport:
 
 
 def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
-                           m: MeasureFamily, P: TransitionOperator,
-                           dt: float) -> ComplementarityReport:
+                           m: MeasureFamily, P: TransitionOperator) -> ComplementarityReport:
     f = np.asarray(f_grid, dtype=float)
     A = m.masses
     if f.shape != A.shape or f.shape != v.values.shape:
         raise ShapeMismatch("value, reward, and family shapes must agree")
-    slack = np.maximum(0.0, -(dt * f[:-1] + P.apply_each(v.values[1:])))
+    slack = np.maximum(0.0, -(P.grid.dt * f[:-1] + P.apply_each(v.values[1:])))
     integral = float(np.sum(slack * A[:-1]))
 
     resid = np.abs(A[1:] - P.apply_adjoint_each(A[:-1]))

@@ -189,13 +189,6 @@ class RewardSpec:
 _Y_SLACK = 1e-9
 
 
-def _grid_of(spec: RewardSpec, m: MeasureFamily, who: str) -> SpaceTimeGrid:
-    grid = m.grid if m.grid is not None else spec.grid
-    if grid is None:
-        raise ValidationError(f"{who} needs a grid")
-    return grid
-
-
 @dataclass(frozen=True)
 class Iterate:
     """A family with the two quantities F and the reward read from it.
@@ -203,7 +196,8 @@ class Iterate:
     ys holds the moment paths y_i = <g_i, m_t>, one (K+1,) array per
     term, checked against the spec's admissible range; H = <h, m> is the
     pairing of the spec's h grid with m (0.0 without h).  Build it with
-    :meth:`of`.
+    :meth:`of`, which rejects a family on another grid than a validated
+    spec's.
     """
 
     family: MeasureFamily
@@ -212,7 +206,8 @@ class Iterate:
 
     @classmethod
     def of(cls, spec: RewardSpec, m: MeasureFamily) -> "Iterate":
-        grid = _grid_of(spec, m, "Iterate.of")
+        if spec.grid is not None and m.grid != spec.grid:
+            raise ShapeMismatch("the family lives on another grid than the spec")
         ys = []
         for i, (fbar, g) in enumerate(spec.terms):
             y = moment(m, g)
@@ -224,7 +219,7 @@ class Iterate:
                         f"for term {i}"
                     )
             ys.append(y)
-        return cls(m, tuple(ys), 0.0 if spec.h is None else pair(spec.h, m, grid.dt))
+        return cls(m, tuple(ys), 0.0 if spec.h is None else pair(spec.h, m))
 
 
 def evaluate_reward(spec: RewardSpec, ys: tuple) -> np.ndarray:
@@ -285,7 +280,7 @@ def potential_value(spec: RewardSpec, it: Iterate) -> float:
     Uses the same left-endpoint rule as the pairing, so the chain rule
     F'(m)[d] = pair(f(., m), d) holds exactly on the grid.
     """
-    grid = _grid_of(spec, it.family, "potential_value")
+    grid = it.family.grid
     K = it.family.K
     return _potential_of_paths(spec, grid.t[:K], [y[:K] for y in it.ys], it.H, grid.dt)
 
@@ -300,7 +295,7 @@ def segment_potential(spec: RewardSpec, a: Iterate, b: Iterate):
     """
     if a.family.masses.shape != b.family.masses.shape:
         raise ShapeMismatch("families must share a shape")
-    grid = _grid_of(spec, a.family, "segment_potential")
+    grid = a.family.grid
     K = a.family.K
     t, dt = grid.t[:K], grid.dt
     ends = [(y[:K], y_b[:K]) for y, y_b in zip(a.ys, b.ys)]
@@ -312,10 +307,9 @@ def segment_potential(spec: RewardSpec, a: Iterate, b: Iterate):
     return phi
 
 
-def directional_gain(f: np.ndarray, m: MeasureFamily, m_target: MeasureFamily,
-                     dt: float) -> float:
+def directional_gain(f: np.ndarray, m: MeasureFamily, m_target: MeasureFamily) -> float:
     """dF/drho at rho = 0 along m + rho (m_target - m), where f is the
-    reward f(., m).
+    reward f(., m) and dt is the time step of m's grid.
 
     Equals pair(f, m_target - m) by the potential property.  The sum is
     np.sum(f[:K] * (m_target[:K] - m[:K])) bit for bit, without the
@@ -325,4 +319,4 @@ def directional_gain(f: np.ndarray, m: MeasureFamily, m_target: MeasureFamily,
         raise ShapeMismatch("families must share a shape")
     K = m.K
     a, b, c = (np.ravel(x[:K]) for x in (f, m_target.masses, m.masses))
-    return float(dt * _block_sum(lambda i, j: a[i:j] * (b[i:j] - c[i:j]), 0, a.size))
+    return float(m.grid.dt * _block_sum(lambda i, j: a[i:j] * (b[i:j] - c[i:j]), 0, a.size))

@@ -157,7 +157,8 @@ def substepped_totals(model, P, m0, v, substeps):
     step = None
     for k in range(P.K):
         if step is None or P.slice_at(k) is not P.slice_at(k - 1):
-            step = TransitionSlice(discretize_generator(model, P.grid, k), P.dt / substeps)
+            step = TransitionSlice(discretize_generator(model, P.grid, k),
+                                   P.grid.dt / substeps)
         for _ in range(substeps):
             m = np.maximum(step.apply_adjoint(m), 0.0)
         m = m * cont[k + 1]
@@ -253,8 +254,6 @@ def whole_block_simulate_paths(model, grid, v, m0, n_paths, seed):
 
     absorbed = n_paths - stopped - survived
     family = MeasureFamily(tallies / n_paths, grid=grid, validate=False)
-    p = family.masses
-    stderr = np.sqrt(p * (1.0 - p) / n_paths)
     stats = PathStats(n_paths=n_paths, stopped=stopped,
                       absorbed=absorbed, survived=survived)
-    return McResult(family=family, stderr=stderr, stats=stats)
+    return McResult(family=family, stats=stats)

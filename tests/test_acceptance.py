@@ -67,7 +67,7 @@ def _duality_runs():
             J = int(rng.choice(_SIZES))
             K = int(rng.choice(_SIZES))
             grid, model, P, m0, f = random_instance(rng, J=J, K=K)
-            v = solve_vi(f, P, grid.dt)
+            v = solve_vi(f, P)
             family, ledger = stopped_forward_measure(v.stop_mask, m0, P)
             runs.append((grid, model, P, m0, f, v, family))
         _RUNS = runs
@@ -85,7 +85,7 @@ def test_criterion_1_strong_duality(capsys):
     worst = 0.0
     for grid, model, P, m0, f, v, family in _duality_runs():
         value = value_at_initial(v, m0)
-        gap = abs(value - pair(f, family, grid.dt)) / (1.0 + abs(value))
+        gap = abs(value - pair(f, family)) / (1.0 + abs(value))
         worst = max(worst, gap)
     ok = worst <= 1e-10
     _report(capsys, 1, ok,
@@ -100,9 +100,9 @@ def test_criterion_2_triple_oracle_agreement(capsys):
         J = int(rng.integers(2, 5))
         K = int(rng.integers(1, 4))
         grid, model, P, m0, f = random_instance(rng, J=J, K=K)
-        v_enum = enumerate_stopping_rules(f, P, m0, grid.dt).best_value
-        v_lp = lp_solve_small(f, P, m0, grid.dt).value
-        v_dp = value_at_initial(solve_vi(f, P, grid.dt), m0)
+        v_enum = enumerate_stopping_rules(f, P, m0).best_value
+        v_lp = lp_solve_small(f, P, m0).value
+        v_dp = value_at_initial(solve_vi(f, P), m0)
         worst = max(worst, abs(v_enum - v_lp), abs(v_enum - v_dp),
                     abs(v_lp - v_dp))
     ok = worst <= 1e-9
@@ -116,7 +116,7 @@ def test_criterion_3_complementarity_and_forward_identity(capsys):
     worst_res = 0.0
     rng = np.random.default_rng(3003)
     for grid, model, P, m0, f, v, family in _duality_runs():
-        rep = complementarity_report(v, f, family, P, grid.dt)
+        rep = complementarity_report(v, f, family, P)
         worst_int = max(worst_int, rep.stop_region_integral / (1.0 + m0.total))
         for _ in range(10):
             phi = random_test_function(v, grid, rng)
@@ -132,18 +132,16 @@ def test_criterion_3_complementarity_and_forward_identity(capsys):
 
 
 def test_criterion_4_admissibility_and_audit(capsys, congestion_solution):
-    emitted = [(grid, P, m0, family)
-               for grid, model, P, m0, f, v, family in _duality_runs()]
-    emitted.append((congestion_solution["grid"], congestion_solution["P"],
-                    congestion_solution["m0"], congestion_solution["result"].m_star))
+    emitted = [(P, m0, family) for grid, model, P, m0, f, v, family in _duality_runs()]
+    emitted.append((congestion_solution["P"], congestion_solution["m0"],
+                    congestion_solution["result"].m_star))
     worst_adm = 0.0
     worst_slack = 0.0
-    for i, (grid, P, m0, family) in enumerate(emitted):
+    for i, (P, m0, family) in enumerate(emitted):
         rep = is_admissible(family, m0, P, tol=1e-10)
         assert bool(rep), f"measure {i} inadmissible: {rep.kind} {rep.worst_violation:.3e}"
         worst_adm = max(worst_adm, rep.worst_violation)
-        audit = function_audit(family, m0, P, grid,
-                               n_functions=100, seed=4000 + i)
+        audit = function_audit(family, m0, P, n_functions=100, seed=4000 + i)
         worst_slack = min(worst_slack, audit.worst_normalized)
     ok = worst_adm <= 1e-10 and worst_slack >= -1e-9
     _report(capsys, 4, ok,
@@ -189,13 +187,12 @@ def test_criterion_7_equilibrium_maximizes_potential(capsys,
                                                      congestion_solution):
     res = congestion_solution["result"]
     spec = congestion_solution["spec"]
-    grid = congestion_solution["grid"]
     f_star = potential_value(spec, Iterate.of(spec, res.m_star))
     rng = np.random.default_rng(7007)
     worst = -np.inf
     for _ in range(100):
         m = random_admissible_measure(congestion_solution["P"],
-                                      congestion_solution["m0"], grid, rng)
+                                      congestion_solution["m0"], rng)
         worst = max(worst, potential_value(spec, Iterate.of(spec, m)) - f_star)
     ok = worst <= 1e-6
     _report(capsys, 7, ok,

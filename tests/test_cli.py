@@ -452,7 +452,7 @@ def test_mc_reference_matches_substep_loop(tmp_path, sigma_time):
     inst = build_instance(load_config(cfg), str(tmp_path))
     assert inst.model.time_constant == (sigma_time == "")
     v = solve_vi(evaluate_reward(inst.spec, Iterate.of(inst.spec, inst.zero_family()).ys),
-                 inst.transition, inst.grid.dt)
+                 inst.transition)
     inner = v.stop_mask[:-1, 1:-1]
     assert inner.any() and not inner.all()
     np.testing.assert_array_equal(

@@ -69,7 +69,7 @@ def test_push_matches_the_continuation_mask_loop_bytewise():
     rng = np.random.default_rng(41)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        for stop in (solve_vi(f, P, grid.dt).stop_mask, rng.random(grid.shape) < 0.3,
+        for stop in (solve_vi(f, P).stop_mask, rng.random(grid.shape) < 0.3,
                      np.zeros(grid.shape, dtype=bool)):
             m, ledger = stopped_forward_measure(stop, m0, P)
             out, stopped, absorbed = _continuation_push(stop, m0, P)
@@ -87,7 +87,7 @@ def test_push_holds_no_mask_grid_of_its_own(never):
     # the family is the only (K+1) x J array the push makes; a bool grid
     # would add one byte per node
     grid, model, P, m0 = make_instance(K=200, J=200)
-    stop = None if never else solve_vi(np.full(grid.shape, 0.1), P, grid.dt).stop_mask
+    stop = None if never else solve_vi(np.full(grid.shape, 0.1), P).stop_mask
     stopped_forward_measure(stop, m0, P)
     tracemalloc.start()
     try:
@@ -101,7 +101,7 @@ def test_push_holds_no_mask_grid_of_its_own(never):
 
 def test_zero_value_stops_all_mass_immediately():
     grid, model, P, m0 = make_instance(K=5, J=4)
-    v = solve_vi(np.zeros(grid.shape), P, grid.dt)
+    v = solve_vi(np.zeros(grid.shape), P)
     m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     assert np.array_equal(m.masses, np.zeros(grid.shape))
     assert ledger.stopped_per_step[0] == pytest.approx(m0.total, abs=1e-15)
@@ -113,7 +113,7 @@ def test_positive_reward_continues_until_horizon():
     # v > 0 strictly before the horizon, so the measure matches the
     # never-stopping family on k < K and the terminal slice empties
     grid, model, P, m0 = make_instance(K=6, J=5)
-    v = solve_vi(np.ones(grid.shape), P, grid.dt)
+    v = solve_vi(np.ones(grid.shape), P)
     assert not v.stop_mask[: grid.K].any()
     m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     bar = stopped_forward_measure(None, m0, P)[0]
@@ -128,17 +128,17 @@ def test_forward_measure_attains_dual_value():
     rng = np.random.default_rng(41)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        v = solve_vi(f, P, grid.dt)
+        v = solve_vi(f, P)
         m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         dual = value_at_initial(v, m0)
-        assert abs(pair(f, m, grid.dt) - dual) <= 1e-10 * (1.0 + abs(dual))
+        assert abs(pair(f, m) - dual) <= 1e-10 * (1.0 + abs(dual))
 
 
 def test_output_admissible_dominated_and_supported():
     rng = np.random.default_rng(42)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        v = solve_vi(f, P, grid.dt)
+        v = solve_vi(f, P)
         m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         assert is_admissible(m, m0, P, tol=1e-10).ok
         bar = stopped_forward_measure(None, m0, P)[0]
@@ -151,7 +151,7 @@ def test_ledger_conserves_mass():
     rng = np.random.default_rng(43)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        v = solve_vi(f, P, grid.dt)
+        v = solve_vi(f, P)
         m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
         assert ledger.conservation_gap <= 1e-12
         assert ledger.initial == m0.total
@@ -162,7 +162,7 @@ def test_ledger_conserves_mass():
 def test_measure_ledger_agrees_on_forward_output():
     rng = np.random.default_rng(44)
     grid, model, P, m0, f = random_instance(rng, J=8, K=6)
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
     other = measure_ledger(m, m0, P)
     assert np.allclose(other.stopped_per_step, ledger.stopped_per_step, atol=1e-13)
@@ -177,7 +177,7 @@ def test_measure_ledger_agrees_on_forward_output():
 
 def test_residual_zero_test_function():
     grid, model, P, m0 = make_instance()
-    v = solve_vi(np.ones(grid.shape), P, grid.dt)
+    v = solve_vi(np.ones(grid.shape), P)
     m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     assert fokker_planck_residual(m, v, P, np.zeros(grid.shape), m0) == 0.0
 
@@ -185,7 +185,7 @@ def test_residual_zero_test_function():
 def test_residual_small_on_forward_measure():
     rng = np.random.default_rng(45)
     grid, model, P, m0, f = random_instance(rng, J=10, K=8)
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     for _ in range(10):
         phi = random_test_function(v, grid, rng)
@@ -195,7 +195,7 @@ def test_residual_small_on_forward_measure():
 
 def test_residual_detects_deleted_mass():
     grid, model, P, m0 = make_instance(K=10, J=9)
-    v = solve_vi(np.ones(grid.shape), P, grid.dt)
+    v = solve_vi(np.ones(grid.shape), P)
     m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     k0, j0 = grid.K // 2, grid.J // 2
     tb = CoefficientFn.gaussian_bump(1.0, grid.t[k0], 0.3 * grid.T)
@@ -212,7 +212,7 @@ def test_residual_detects_deleted_mass():
 
 def test_residual_rejects_bad_support():
     grid, model, P, m0 = make_instance()
-    v = solve_vi(np.ones(grid.shape), P, grid.dt)
+    v = solve_vi(np.ones(grid.shape), P)
     m, _ = stopped_forward_measure(v.stop_mask, m0, P)
     with pytest.raises(SupportViolation):
         fokker_planck_residual(m, v, P, np.ones(grid.shape), m0)
@@ -222,7 +222,7 @@ def test_forbidden_support_geometry():
     grid, model, P, m0 = make_instance(K=4, J=5)
     f = np.ones(grid.shape)
     f[:, 2] = -5.0
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     bad = forbidden_support(v)
     # boundary-adjacent columns always excluded
     assert bad[:, 0].all() and bad[:, -1].all()
@@ -239,7 +239,7 @@ def test_forbidden_support_geometry():
 def test_random_test_function_respects_support():
     rng = np.random.default_rng(47)
     grid, model, P, m0, f = random_instance(rng, J=9, K=7)
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     bad = forbidden_support(v)
     for _ in range(5):
         phi = random_test_function(v, grid, rng)

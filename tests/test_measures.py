@@ -1,6 +1,7 @@
 """Occupation-measure families, admissibility polytope, moments, pairing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mfgstop import (
     ProductField,
     RewardSpec,
     ShapeMismatch,
+    SpaceTimeGrid,
     Tridiagonal,
     TransitionOperator,
     TransitionSlice,
@@ -42,7 +44,7 @@ from conftest import constant_model, make_instance, random_instance
 
 def test_zero_family_is_admissible():
     grid, model, P, m0 = make_instance()
-    m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    m = MeasureFamily.zeros(grid)
     report = is_admissible(m, m0, P)
     assert report and report.ok
     assert report.worst_violation == 0.0
@@ -72,7 +74,7 @@ def test_tied_chain_violations_report_the_first_in_row_major_order():
     # from m_0 = 0 nothing may arrive, so each planted mass is a violation
     # of exactly 0.25; a per-step scan with a strict > keeps the first
     grid, model, P, m0 = make_instance()
-    m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    m = MeasureFamily.zeros(grid)
     for k, j in [(5, 0), (3, 4), (3, 1)]:
         m.masses[k, j] = 0.25
     report = is_admissible(m, m0, P)
@@ -106,7 +108,7 @@ def test_negative_mass_is_flagged():
 
 def test_admissibility_shape_mismatch():
     grid, model, P, m0 = make_instance()
-    bad = MeasureFamily.zeros(grid.K, grid.J + 1)
+    bad = MeasureFamily.zeros(replace(grid, J=grid.J + 1))
     with pytest.raises(ShapeMismatch):
         is_admissible(bad, m0, P)
 
@@ -129,7 +131,8 @@ def test_all_continue_near_identity_transition():
 def test_all_continue_scalar_geometric_decay():
     c, dt, K = 0.8, 0.5, 6
     A = Tridiagonal(lower=np.zeros(0), diag=np.array([-c]), upper=np.zeros(0))
-    P = TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
+    grid = SpaceTimeGrid(T=K * dt, a=0.0, b=1.0, K=K, J=1)
+    P = TransitionOperator.homogeneous(TransitionSlice(A, grid.dt), grid)
     m0 = InitialMeasure.from_masses([1.0])
     m = stopped_forward_measure(None, m0, P)[0]
     p = 1.0 / (1.0 + dt * c)
@@ -170,7 +173,7 @@ def test_domination_by_all_continue():
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
         bar = stopped_forward_measure(None, m0, P)[0]
-        m = random_admissible_measure(P, m0, grid, rng)
+        m = random_admissible_measure(P, m0, rng)
         assert np.all(m.masses <= bar.masses + 1e-12)
 
 
@@ -187,7 +190,7 @@ def test_moment_of_ones_counts_survivors():
 
 def test_moment_of_zero_measure():
     grid, model, P, m0 = make_instance()
-    m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    m = MeasureFamily.zeros(grid)
     y = moment(m, CoefficientFn.affine(0.3, -2.0))
     assert np.array_equal(y, np.zeros(grid.K + 1))
 
@@ -203,18 +206,12 @@ def test_moment_two_atoms_arithmetic():
     assert np.array_equal(y, np.full(3, 0.5))
 
 
-def test_moment_requires_grid():
-    m = MeasureFamily.zeros(2, 3)
-    with pytest.raises(ValidationError):
-        moment(m, CoefficientFn.constant(1.0))
-
-
 def test_moment_is_linear():
     rng = np.random.default_rng(9)
     grid, model, P, m0, f = random_instance(rng, J=7, K=5)
     g = CoefficientFn.polynomial(0.2, -1.0, 3.0)
-    m1 = random_admissible_measure(P, m0, grid, rng)
-    m2 = random_admissible_measure(P, m0, grid, rng)
+    m1 = random_admissible_measure(P, m0, rng)
+    m2 = random_admissible_measure(P, m0, rng)
     a, b = 0.3, 1.7
     combo = MeasureFamily(a * m1.masses + b * m2.masses, grid=grid)
     lhs = moment(combo, g)
@@ -241,18 +238,19 @@ def test_moment_matches_fsum():
 def test_pair_zero_reward():
     grid, model, P, m0 = make_instance()
     m = stopped_forward_measure(None, m0, P)[0]
-    assert pair(np.zeros(grid.shape), m, grid.dt) == 0.0
+    assert pair(np.zeros(grid.shape), m) == 0.0
 
 
 def test_pair_unit_reward_identity_transition():
     # exact identity transition: A = 0, so P = I and mass is conserved;
     # left-endpoint rule gives T * total mass
-    K, J, dt = 4, 3, 0.25
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=4, J=3)
+    J = grid.J
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
-    P = TransitionOperator.homogeneous(TransitionSlice(A, dt), K)
-    m0 = InitialMeasure.uniform(build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J))
+    P = TransitionOperator.homogeneous(TransitionSlice(A, grid.dt), grid)
+    m0 = InitialMeasure.uniform(grid)
     m = stopped_forward_measure(None, m0, P)[0]
-    val = pair(np.ones((K + 1, J)), m, dt)
+    val = pair(np.ones(grid.shape), m)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
@@ -260,13 +258,13 @@ def test_pair_matches_fsum_double_loop():
     rng = np.random.default_rng(11)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        m = random_admissible_measure(P, m0, grid, rng)
+        m = random_admissible_measure(P, m0, rng)
         expected = math.fsum(
             grid.dt * f[k, j] * m.masses[k, j]
             for k in range(grid.K)
             for j in range(grid.J)
         )
-        assert pair(f, m, grid.dt) == pytest.approx(expected, abs=1e-15)
+        assert pair(f, m) == pytest.approx(expected, abs=1e-15)
 
 
 def test_pair_ignores_final_slice():
@@ -274,14 +272,14 @@ def test_pair_ignores_final_slice():
     m = stopped_forward_measure(None, m0, P)[0]
     f = np.zeros(grid.shape)
     f[grid.K] = 100.0
-    assert pair(f, m, grid.dt) == 0.0
+    assert pair(f, m) == 0.0
 
 
 def test_pair_shape_mismatch():
     grid, model, P, m0 = make_instance()
     m = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(ShapeMismatch):
-        pair(np.zeros((2, 2)), m, grid.dt)
+        pair(np.zeros((2, 2)), m)
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +289,8 @@ def test_pair_shape_mismatch():
 def test_convex_combine_endpoints():
     rng = np.random.default_rng(12)
     grid, model, P, m0, f = random_instance(rng)
-    m1 = random_admissible_measure(P, m0, grid, rng)
-    m2 = random_admissible_measure(P, m0, grid, rng)
+    m1 = random_admissible_measure(P, m0, rng)
+    m2 = random_admissible_measure(P, m0, rng)
     assert np.array_equal(convex_combine(m1, m2, 0.0).masses, m1.masses)
     assert np.array_equal(convex_combine(m1, m2, 1.0).masses, m2.masses)
 
@@ -301,8 +299,8 @@ def test_convex_combine_stays_admissible():
     rng = np.random.default_rng(13)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        m1 = random_admissible_measure(P, m0, grid, rng)
-        m2 = random_admissible_measure(P, m0, grid, rng)
+        m1 = random_admissible_measure(P, m0, rng)
+        m2 = random_admissible_measure(P, m0, rng)
         mid = convex_combine(m1, m2, 0.5)
         assert is_admissible(mid, m0, P, tol=1e-12).ok
         third = convex_combine(m1, m2, rng.random())
@@ -323,12 +321,14 @@ def test_convex_combine_rejects_bad_rho():
 
 
 def test_family_rejects_bad_input():
-    with pytest.raises(ShapeMismatch):
-        MeasureFamily(np.zeros(5))
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=1, J=2)  # shape (2, 2)
+    for masses in (np.zeros(5), np.zeros(4), np.zeros((3, 2)), np.zeros((2, 3))):
+        with pytest.raises(ShapeMismatch):
+            MeasureFamily(masses, grid)
     with pytest.raises(ValidationError):
-        MeasureFamily(np.full((2, 2), -1.0))
+        MeasureFamily(np.full((2, 2), -1.0), grid)
     with pytest.raises(ValidationError):
-        MeasureFamily(np.full((2, 2), np.nan))
+        MeasureFamily(np.full((2, 2), np.nan), grid)
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +378,8 @@ def test_pair_and_gain_sums_are_the_one_shot_sums_bitwise(shape):
     grid, m1, m2, rng = _block_case(shape, 20)
     K, dt = grid.K, grid.dt
     f = rng.normal(size=shape) * _spread(rng, shape)
-    assert _bits(pair(f, m1, dt)) == _bits(float(dt * np.sum(f[:K] * m1.masses[:K])))
-    gain = directional_gain(f, m1, m2, dt)
+    assert _bits(pair(f, m1)) == _bits(float(dt * np.sum(f[:K] * m1.masses[:K])))
+    gain = directional_gain(f, m1, m2)
     one_shot = float(dt * np.sum(f[:K] * (m2.masses[:K] - m1.masses[:K])))
     assert _bits(gain) == _bits(one_shot)
 
@@ -393,7 +393,7 @@ def test_h_pairing_is_the_pairing_with_the_h_grid_bitwise(shape):
                      time=CoefficientFn.affine(1.0, -0.7))
     spec = RewardSpec(terms=(), h=h).validated(grid, InitialMeasure.uniform(grid))
     assert _bits(spec.h) == _bits(h.on_grid(grid))
-    assert _bits(Iterate.of(spec, m1).H) == _bits(pair(spec.h, m1, grid.dt))
+    assert _bits(Iterate.of(spec, m1).H) == _bits(pair(spec.h, m1))
 
 
 @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
@@ -429,7 +429,7 @@ def test_line_search_curvature_is_the_one_shot_gemv_bitwise(shape):
     gain = float(dt * np.sum(f[:K] * d))
     curv = 2.0 * dt * float(np.sum(np.ones(K) * delta * delta))
     assert 0.0 < gain < curv
-    assert _bits(line_search(spec, Iterate.of(spec, m1), m2, f, dt)) == _bits(gain / curv)
+    assert _bits(line_search(spec, Iterate.of(spec, m1), m2, f)) == _bits(gain / curv)
 
 
 def _one_shot_chain_excess(m, P):
@@ -449,7 +449,7 @@ def _blocked_operators():
                                                 time=CoefficientFn.affine(1.0, 0.5)))
     td = build_transition_operator(varying, grid)
     alt = TransitionOperator([P.slices[0], td.slices[0]], [k % 2 for k in range(grid.K)],
-                             grid=grid)
+                             grid)
     return grid, [P, td, alt]
 
 
@@ -469,7 +469,7 @@ def test_streamed_chain_check_and_ledger_match_the_one_shot_forms():
         # of its own size: first a tie in two blocks (the first node in
         # row-major order wins; with alternating slices the block of the
         # later node is searched first), then a larger one, then a NaN
-        bad = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+        bad = MeasureFamily.zeros(grid)
         bad.masses[51, 3] = bad.masses[8, 800] = 0.25
         for plant in [None, (33, 10, 0.75), (41, 2, np.nan)]:
             if plant is not None:

@@ -34,13 +34,14 @@ from mfgstop import (
     fixed_point_solve,
     line_search,
     lp_solve_small,
+    measure_ledger,
     moment,
     pair,
     potential_value,
     stopped_forward_measure,
     value_at_initial,
 )
-from mfgstop.errors import NonConcaveDetected, SolverError, ValidationError
+from mfgstop.errors import NonConcaveDetected, ShapeMismatch, SolverError, ValidationError
 from mfgstop.forward import stopped_forward_measure
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.mfg import PushCache
@@ -103,15 +104,15 @@ def test_best_response_ignores_crowd_when_decoupled():
     ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
     spec = _decoupled_spec(grid, m0)
 
-    zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    zero = MeasureFamily.zeros(grid)
     crowd = stopped_forward_measure(None, m0, P)[0]
     br_a = best_response(spec, Iterate.of(spec, zero), ctx)
     br_b = best_response(spec, Iterate.of(spec, crowd), ctx)
 
     np.testing.assert_array_equal(br_a.f_grid, br_b.f_grid)
     np.testing.assert_array_equal(br_a.family.masses, br_b.family.masses)
-    np.testing.assert_array_equal(solve_vi(br_a.f_grid, P, grid.dt).values,
-                                  solve_vi(br_b.f_grid, P, grid.dt).values)
+    np.testing.assert_array_equal(solve_vi(br_a.f_grid, P).values,
+                                  solve_vi(br_b.f_grid, P).values)
 
 
 def test_best_response_stops_at_once_when_reward_is_negative():
@@ -123,24 +124,41 @@ def test_best_response_stops_at_once_when_reward_is_negative():
 
     br = best_response(spec, Iterate.of(spec, stopped_forward_measure(None, m0, P)[0]), ctx)
     assert np.all(br.f_grid < 0.0)
-    v = solve_vi(br.f_grid, P, grid.dt)
+    v = solve_vi(br.f_grid, P)
     np.testing.assert_array_equal(v.values, np.zeros((grid.K + 1, grid.J)))
     np.testing.assert_array_equal(br.family.masses,
                                   np.zeros((grid.K + 1, grid.J)))
     assert value_at_initial(v, m0) == 0.0
-    assert br.ledger.stopped_per_step.sum() == pytest.approx(1.0, abs=1e-12)
+    assert measure_ledger(br.family, m0, P).stopped_per_step.sum() == pytest.approx(
+        1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("change", [{"K": 9}, {"J": 7}, {"T": 2.0}],
+                         ids=["K", "J", "T"])
+def test_context_and_iterate_reject_another_grid(change):
+    grid, model, P, m0 = make_instance()
+    other = dataclasses.replace(grid, **change)
+    with pytest.raises(ShapeMismatch):
+        ModelContext(grid=other, model=model, transition=P, m0=m0)
+    spec = _decoupled_spec(grid, m0)
+    elsewhere = MeasureFamily.zeros(other)
+    with pytest.raises(ShapeMismatch):
+        Iterate.of(spec, elsewhere)
+    ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
+    with pytest.raises(ValidationError):
+        fixed_point_solve(spec, ctx, m_init=elsewhere)
 
 
 def test_best_response_value_matches_small_lp():
     grid, model, P, m0, spec, ctx = congestion_instance(J=6, K=6)
     rng = np.random.default_rng(31)
     for _ in range(5):
-        m = random_admissible_measure(P, m0, grid, rng)
+        m = random_admissible_measure(P, m0, rng)
         it = Iterate.of(spec, m)
         br = best_response(spec, it, ctx)
         np.testing.assert_array_equal(br.f_grid, evaluate_reward(spec, it.ys))
-        lp = lp_solve_small(br.f_grid, P, m0, grid.dt)
-        got = pair(br.f_grid, br.family, grid.dt)
+        lp = lp_solve_small(br.f_grid, P, m0)
+        got = pair(br.f_grid, br.family)
         assert abs(got - lp.value) <= 1e-9 * (1.0 + abs(lp.value))
 
 
@@ -154,7 +172,7 @@ def test_line_search_interior_matches_golden_section_oracle():
     it = Iterate.of(spec, m)
     m_tilde = best_response(spec, it, ctx).family
 
-    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys), grid.dt)
+    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys))
     assert 0.01 < rho < 0.99
 
     def phi(r):
@@ -171,7 +189,7 @@ def test_segment_potential_matches_potential_of_combined_family(kind):
     grid, P, m0, spec, ctx = _curved_instance(*CURVED[kind])
     rng = np.random.default_rng(37)
     for m in (stopped_forward_measure(None, m0, P)[0],
-              random_admissible_measure(P, m0, grid, rng)):
+              random_admissible_measure(P, m0, rng)):
         it = Iterate.of(spec, m)
         m_tilde = best_response(spec, it, ctx).family
         phi = segment_potential(spec, it, Iterate.of(spec, m_tilde))
@@ -186,7 +204,7 @@ def test_line_search_exponential_matches_golden_section_oracle():
     it = Iterate.of(spec, m)
     m_tilde = best_response(spec, it, ctx).family
 
-    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys), grid.dt)
+    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys))
     assert 0.01 < rho < 0.99
 
     def phi(r):
@@ -202,14 +220,14 @@ def test_line_search_decoupled_takes_full_or_no_step():
     ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
     spec = _decoupled_spec(grid, m0)
 
-    zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    zero = MeasureFamily.zeros(grid)
     it = Iterate.of(spec, zero)
     m_tilde = best_response(spec, it, ctx).family
-    assert pair(evaluate_reward(spec, it.ys), m_tilde, grid.dt) > 0.0
-    assert line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys), grid.dt) == 1.0
+    assert pair(evaluate_reward(spec, it.ys), m_tilde) > 0.0
+    assert line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys)) == 1.0
     # stepping away from the better measure gains nothing
     it_tilde = Iterate.of(spec, m_tilde)
-    assert line_search(spec, it_tilde, zero, evaluate_reward(spec, it_tilde.ys), grid.dt) == 0.0
+    assert line_search(spec, it_tilde, zero, evaluate_reward(spec, it_tilde.ys)) == 0.0
 
 
 def test_line_search_stationary_direction_returns_zero():
@@ -217,12 +235,12 @@ def test_line_search_stationary_direction_returns_zero():
     m = stopped_forward_measure(None, m0, P)[0]
     linear = _decoupled_spec(grid, m0)
     it = Iterate.of(linear, m)
-    assert line_search(linear, it, m, evaluate_reward(linear, it.ys), grid.dt) == 0.0
+    assert line_search(linear, it, m, evaluate_reward(linear, it.ys)) == 0.0
     curved = RewardSpec(
         terms=((FBarFn("exponential", (1.0, 2.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     it = Iterate.of(curved, m)
-    assert line_search(curved, it, m, evaluate_reward(curved, it.ys), grid.dt) == 0.0
+    assert line_search(curved, it, m, evaluate_reward(curved, it.ys)) == 0.0
 
 
 def test_line_search_rejects_non_concave_objective():
@@ -231,11 +249,11 @@ def test_line_search_rejects_non_concave_objective():
     # validate=False sneaks it past the constructor checks on purpose.
     bad = FBarFn("exponential", (-1.0, 2.0), validate=False)
     spec = RewardSpec(terms=((bad, CoefficientFn.constant(1.0)),))
-    zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    zero = MeasureFamily.zeros(grid)
     bar = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(NonConcaveDetected):
         # the golden section reads no reward grid, and this spec has none
-        line_search(spec, Iterate.of(spec, zero), bar, None, grid.dt)
+        line_search(spec, Iterate.of(spec, zero), bar, None)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +264,13 @@ def test_exploitability_equals_lp_gap():
     grid, model, P, m0, spec, ctx = congestion_instance(J=6, K=6)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        m = random_admissible_measure(P, m0, grid, rng)
+        m = random_admissible_measure(P, m0, rng)
         it = Iterate.of(spec, m)
         eps = best_response(spec, it, ctx).exploitability
         assert eps >= -1e-10
         f = evaluate_reward(spec, it.ys)
-        lp = lp_solve_small(f, P, m0, grid.dt)
-        gap = lp.value - pair(f, m, grid.dt)
+        lp = lp_solve_small(f, P, m0)
+        gap = lp.value - pair(f, m)
         assert eps == pytest.approx(gap, abs=1e-10, rel=1e-10)
 
 
@@ -260,14 +278,14 @@ def test_exploitability_vanishes_at_decoupled_best_response():
     grid, model, P, m0 = make_instance()
     ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
     spec = _decoupled_spec(grid, m0)
-    zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    zero = MeasureFamily.zeros(grid)
     br = best_response(spec, Iterate.of(spec, zero), ctx)
     assert best_response(spec, Iterate.of(spec, br.family), ctx).exploitability <= 1e-12
 
 
 def test_empty_crowd_is_exploitable_when_stopping_pays():
     grid, model, P, m0, spec, ctx = congestion_instance(J=20, K=20)
-    zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    zero = MeasureFamily.zeros(grid)
     assert best_response(spec, Iterate.of(spec, zero), ctx).exploitability > 0.01
 
 
@@ -352,7 +370,7 @@ def test_fixed_point_budget_exhaustion_recomputes_an_earlier_best_bitwise():
     assert not res.converged
     assert res.exploitability in res.trace.exploitability
     f = evaluate_reward(spec, Iterate.of(spec, res.m_star).ys)
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     np.testing.assert_array_equal(res.f_star, f)
     np.testing.assert_array_equal(res.v_star.values, v.values)
     np.testing.assert_array_equal(res.v_star.stop_mask, v.stop_mask)
@@ -389,7 +407,7 @@ def test_fixed_point_value_grid_is_the_solve_of_its_reward_bitwise(n, max_iters,
     if not converged:
         # the best iterate is an earlier one than the last evaluated
         assert res.exploitability in res.trace.exploitability
-    v = solve_vi(res.f_star, P, grid.dt)
+    v = solve_vi(res.f_star, P)
     assert res.v_star.values.tobytes() == v.values.tobytes()
     np.testing.assert_array_equal(res.v_star.stop_mask, v.stop_mask)
     assert res.v_star.tol_zero == v.tol_zero
@@ -407,7 +425,7 @@ def test_equilibrium_maximizes_potential(congestion_solution):
     assert res.potential == pytest.approx(f_star, abs=1e-12)
     rng = np.random.default_rng(83)
     for _ in range(20):
-        m = random_admissible_measure(P, m0, grid, rng)
+        m = random_admissible_measure(P, m0, rng)
         assert f_star >= potential_value(spec, Iterate.of(spec, m)) - 1e-6
 
 
@@ -415,7 +433,7 @@ def test_equilibrium_complementarity(congestion_solution):
     res = congestion_solution["result"]
     grid = congestion_solution["grid"]
     P = congestion_solution["P"]
-    rep = complementarity_report(res.v_star, res.f_star, res.m_star, P, grid.dt)
+    rep = complementarity_report(res.v_star, res.f_star, res.m_star, P)
     assert rep.stop_region_integral <= 1e-7
     assert rep.continuation_residual <= 1e-7
 
@@ -528,7 +546,8 @@ class _NeverHits(PushCache):
     """A push cache that always misses: every best response pushes m0."""
 
     def push(self, stop_mask):
-        return mfgstop.mfg.stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)
+        return mfgstop.mfg.stopped_forward_measure(stop_mask, self.ctx.m0,
+                                                   self.ctx.transition)[0]
 
 
 def _solve_without_cache(monkeypatch, spec, ctx, **kw):
@@ -577,7 +596,7 @@ def _masks(n_rules, K=6, J=5):
     grid, model, P, m0 = make_instance(K=K, J=J)
     ctx = ModelContext(grid=grid, model=model, transition=P, m0=m0)
     f = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     rules, mask = [], v.stop_mask.copy()
     for i in range(n_rules):
         mask = mask.copy()
@@ -594,12 +613,10 @@ def test_push_cache_keeps_masks_one_node_apart_separate(monkeypatch):
         cache.push(v)
     assert len(calls) == 4 and len(cache.pushes) == 2
     for v in (a, b, a, b):
-        fam, ledger = cache.push(v)
-        fresh, fresh_ledger = stopped_forward_measure(v, ctx.m0, ctx.transition)
-        np.testing.assert_array_equal(fam.masses, fresh.masses)
-        np.testing.assert_array_equal(ledger.stopped_per_step, fresh_ledger.stopped_per_step)
+        fresh = stopped_forward_measure(v, ctx.m0, ctx.transition)[0]
+        np.testing.assert_array_equal(cache.push(v).masses, fresh.masses)
     assert len(calls) == 4
-    assert not np.array_equal(cache.push(a)[0].masses, cache.push(b)[0].masses)
+    assert not np.array_equal(cache.push(a).masses, cache.push(b).masses)
 
 
 def test_push_cache_keeps_no_rule_seen_once(monkeypatch):

@@ -19,6 +19,7 @@ from mfgstop import (
     NonPositiveHorizon,
     ProductField,
     ShapeMismatch,
+    SpaceTimeGrid,
     TransitionOperator,
     TransitionSlice,
     Tridiagonal,
@@ -304,6 +305,22 @@ def _bands(n, lower, diag, upper):
                        upper=np.full(n - 1, upper))
 
 
+def _steps(K, J):
+    """A grid of K steps of length 0.1 with J interior nodes."""
+    return SpaceTimeGrid(T=0.1 * K, a=0.0, b=1.0, K=K, J=J)
+
+
+def _homogeneous(n, lower, diag, upper, K):
+    return TransitionOperator.homogeneous(
+        TransitionSlice(_bands(n, lower, diag, upper), 0.1), _steps(K, n))
+
+
+def _alternating(n, K):
+    return TransitionOperator([TransitionSlice(_bands(n, 0.7, -2.0, 0.9), 0.1),
+                               TransitionSlice(_bands(n, 0.3, -1.5, 0.6), 0.1)],
+                              [k % 2 for k in range(K)], _steps(K, n))
+
+
 def _time_dependent_operator(K, J, mu=0.3):
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=K, J=J)
     model = DiffusionModel(
@@ -315,24 +332,20 @@ def _time_dependent_operator(K, J, mu=0.3):
 
 @pytest.mark.parametrize("P", [
     # n = 1 and 2 take the closed forms, n >= 3 the LAPACK solve
-    TransitionOperator.homogeneous(TransitionSlice(_bands(1, 0.0, -2.0, 0.0), 0.1), 6),
-    TransitionOperator.homogeneous(TransitionSlice(_bands(2, 0.7, -2.0, 0.9), 0.1), 6),
-    TransitionOperator.homogeneous(TransitionSlice(_bands(3, 0.7, -2.0, 0.9), 0.1), 6),
-    TransitionOperator.homogeneous(TransitionSlice(_bands(50, 0.7, -2.0, 0.9), 0.1), 6),
+    _homogeneous(1, 0.0, -2.0, 0.0, 6),
+    _homogeneous(2, 0.7, -2.0, 0.9, 6),
+    _homogeneous(3, 0.7, -2.0, 0.9, 6),
+    _homogeneous(50, 0.7, -2.0, 0.9, 6),
     _time_dependent_operator(7, 50),
     # two slices taking turns: neither one's steps form a run
-    TransitionOperator([TransitionSlice(_bands(20, 0.7, -2.0, 0.9), 0.1),
-                        TransitionSlice(_bands(20, 0.3, -1.5, 0.6), 0.1)],
-                       [k % 2 for k in range(7)]),
+    _alternating(20, 7),
     # steps spanning several blocks of the whole-family solves
-    TransitionOperator.homogeneous(TransitionSlice(_bands(2100, 0.7, -2.0, 0.9), 0.1), 30),
-    TransitionOperator([TransitionSlice(_bands(2100, 0.7, -2.0, 0.9), 0.1),
-                        TransitionSlice(_bands(2100, 0.3, -1.5, 0.6), 0.1)],
-                       [k % 2 for k in range(37)]),
+    _homogeneous(2100, 0.7, -2.0, 0.9, 30),
+    _alternating(2100, 37),
     # lower == upper: the LDL^T solve
-    TransitionOperator.homogeneous(TransitionSlice(_bands(3, 0.7, -2.0, 0.7), 0.1), 6),
-    TransitionOperator.homogeneous(TransitionSlice(_bands(50, 0.7, -2.0, 0.7), 0.1), 6),
-    TransitionOperator.homogeneous(TransitionSlice(_bands(2100, 0.7, -2.0, 0.7), 0.1), 30),
+    _homogeneous(3, 0.7, -2.0, 0.7, 6),
+    _homogeneous(50, 0.7, -2.0, 0.7, 6),
+    _homogeneous(2100, 0.7, -2.0, 0.7, 30),
     _time_dependent_operator(7, 50, mu=0.0),
 ], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating", "blocks",
         "alternating-blocks", "symmetric-n3", "symmetric-n50", "symmetric-blocks",
@@ -349,6 +362,19 @@ def test_batched_pushes_match_per_step_bitwise(P):
         seen += list(np.arange(P.K)[steps])
         assert np.array_equal(pushed, each_adj[steps])
     assert sorted(seen) == list(range(P.K))
+
+
+@pytest.mark.parametrize("slices, slice_map, K, J, error", [
+    ([(5, 0.9)], [0] * 6, 7, 5, ShapeMismatch),  # one step short of the grid's K
+    ([(5, 0.9)], [0] * 8, 7, 5, ShapeMismatch),  # one step past it
+    ([(5, 0.9)], [0] * 7, 7, 6, ShapeMismatch),  # slices of 5 nodes, grid J = 6
+    ([(5, 0.9), (6, 0.6)], [k % 2 for k in range(7)], 7, 5, ShapeMismatch),  # one of 6
+    ([(5, 0.9)], [0, 1] * 3 + [0], 7, 5, ValidationError),  # no slice 1
+], ids=["K-short", "K-long", "J", "J-of-one-slice", "missing-slice"])
+def test_operator_must_fit_its_grid(slices, slice_map, K, J, error):
+    built = [TransitionSlice(_bands(n, 0.7, -2.0, upper), 0.1) for n, upper in slices]
+    with pytest.raises(error):
+        TransitionOperator(built, slice_map, _steps(K, J))
 
 
 def test_symmetric_slice_is_its_own_adjoint():
@@ -383,7 +409,7 @@ _CPU_HASHES = """
 import ctypes, glob, hashlib, os
 import numpy as np
 import scipy
-from mfgstop import TransitionOperator, TransitionSlice, Tridiagonal
+from mfgstop import SpaceTimeGrid, TransitionOperator, TransitionSlice, Tridiagonal
 
 core = None
 libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
@@ -400,7 +426,8 @@ for upper in (0.7, 0.9):  # LDL^T, then LU
                     upper=np.full(n - 1, upper))
     s = TransitionSlice(A, 0.1)
     for out in (s.apply(x), s.apply_adjoint(x),
-                TransitionOperator.homogeneous(s, 40).apply_each(rows)):
+                TransitionOperator.homogeneous(s, SpaceTimeGrid(4.0, 0.0, 1.0, 40, n))
+                .apply_each(rows)):
         h.update(out.tobytes())
 print(core, h.hexdigest())
 """
@@ -434,6 +461,25 @@ def test_slice_solves_do_not_depend_on_the_cpu_kernels():
         assert core in (coretype, "None")  # the override took, where readable
         seen[coretype] = digest
     assert len(set(seen.values())) == 1, seen
+
+
+_SCIPY_SUBPACKAGES = """
+import sys
+import mfgstop
+print(" ".join(sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})))
+"""
+
+
+def test_import_loads_no_scipy_subpackage_but_linalg():
+    # importing mfgstop peaks near 57 MiB of RSS; scipy.optimize alone
+    # adds about 20 MiB more, far above what the benchmark's peak-RSS
+    # bound allows.  scipy's private modules and `version` load with
+    # scipy.linalg itself.
+    out = subprocess.run([sys.executable, "-c", _SCIPY_SUBPACKAGES], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    public = {name for name in loaded if not name.startswith("_")} - {"version"}
+    assert public == {"linalg"}, sorted(loaded)
 
 
 def test_batched_pushes_reject_wrong_shape():

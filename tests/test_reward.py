@@ -1,5 +1,7 @@
 """Coupled rewards, antimonotonicity, and the exact potential."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,8 @@ def _two_term_setup(seed=21):
         ),
         h=ProductField(CoefficientFn.affine(0.2, -0.4)),
     ).validated(grid, m0)
-    m1 = random_admissible_measure(P, m0, grid, rng)
-    m2 = random_admissible_measure(P, m0, grid, rng)
+    m1 = random_admissible_measure(P, m0, rng)
+    m2 = random_admissible_measure(P, m0, rng)
     return grid, P, m0, spec, m1, m2
 
 
@@ -65,7 +67,7 @@ def test_decoupled_reward_ignores_measure():
     spec = RewardSpec(
         terms=((FBarFn("linear", (1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
-    zero = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    zero = MeasureFamily.zeros(grid)
     full = stopped_forward_measure(None, m0, P)[0]
     f0 = _f(spec, zero)
     f1 = _f(spec, full)
@@ -90,7 +92,7 @@ def test_saturating_reward_at_zero_moment():
     spec = RewardSpec(
         terms=((FBarFn("saturating", (2.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
-    m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    m = MeasureFamily.zeros(grid)
     assert np.array_equal(_f(spec, m), np.full(grid.shape, 2.0))
 
 
@@ -159,7 +161,7 @@ def test_potential_zero_measure():
     spec = RewardSpec(
         terms=((FBarFn("exponential", (1.0, 2.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
-    m = MeasureFamily.zeros(grid.K, grid.J, grid=grid)
+    m = MeasureFamily.zeros(grid)
     assert _F(spec, m) == 0.0
 
 
@@ -181,7 +183,7 @@ def test_potential_gradient_matches_fd():
     # at the midpoint equals the pairing of f(mid) against m2 - m1
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=23)
     mid = convex_combine(m1, m2, 0.5)
-    gain = 2.0 * directional_gain(_f(spec, mid), mid, m2, grid.dt)
+    gain = 2.0 * directional_gain(_f(spec, mid), mid, m2)
     assert abs(gain) > 1e-4
     for eps in (1e-4, 1e-5, 1e-6):
         up = _F(spec, convex_combine(m1, m2, 0.5 + eps))
@@ -206,7 +208,7 @@ def test_potential_concave_along_segments():
 
 def test_gain_zero_direction():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=25)
-    assert directional_gain(_f(spec, m1), m1, m1, grid.dt) == 0.0
+    assert directional_gain(_f(spec, m1), m1, m1) == 0.0
 
 
 def test_gain_decoupled_is_pair_difference():
@@ -215,11 +217,11 @@ def test_gain_decoupled_is_pair_difference():
         terms=((FBarFn("linear", (1.0, 0.0)), CoefficientFn.affine(0.0, 1.0)),),
     ).validated(grid, m0)
     rng = np.random.default_rng(26)
-    m1 = random_admissible_measure(P, m0, grid, rng)
-    m2 = random_admissible_measure(P, m0, grid, rng)
+    m1 = random_admissible_measure(P, m0, rng)
+    m2 = random_admissible_measure(P, m0, rng)
     f = _f(spec, m1)
-    want = pair(f, m2, grid.dt) - pair(f, m1, grid.dt)
-    assert directional_gain(f, m1, m2, grid.dt) == pytest.approx(want, abs=1e-14)
+    want = pair(f, m2) - pair(f, m1)
+    assert directional_gain(f, m1, m2) == pytest.approx(want, abs=1e-14)
 
 
 def test_gain_matches_fd_at_zero():
@@ -228,7 +230,7 @@ def test_gain_matches_fd_at_zero():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=27)
     base = MeasureFamily(0.5 * m1.masses, grid=grid, validate=False)
     delta = m2.masses - base.masses
-    gain = directional_gain(_f(spec, base), base, m2, grid.dt)
+    gain = directional_gain(_f(spec, base), base, m2)
     assert abs(gain) > 1e-4
     for eps in (1e-4, 1e-5, 1e-6):
         up = _F(spec, MeasureFamily(base.masses + eps * delta, grid=grid,
@@ -241,9 +243,9 @@ def test_gain_matches_fd_at_zero():
 
 def test_gain_shape_mismatch():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=28)
-    other = MeasureFamily.zeros(grid.K + 1, grid.J, grid=grid)
+    other = MeasureFamily.zeros(dataclasses.replace(grid, K=grid.K + 1))
     with pytest.raises(ShapeMismatch):
-        directional_gain(_f(spec, m1), m1, other, grid.dt)
+        directional_gain(_f(spec, m1), m1, other)
 
 
 # ----------------------------------------------------------------------
@@ -382,5 +384,5 @@ def test_y_max_is_domination_bound():
     # every admissible family stays within the bound
     rng = np.random.default_rng(29)
     for _ in range(5):
-        m = random_admissible_measure(P, m0, grid, rng)
+        m = random_admissible_measure(P, m0, rng)
         assert np.abs(moment(m, g)).max() <= want + 1e-12

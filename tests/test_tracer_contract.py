@@ -99,7 +99,7 @@ def test_every_step_solves_through_the_traced_methods(monkeypatch, mu):
     assert np.array_equal(A.lower, A.upper) == (mu == 0.0)
     f = np.sin(np.arange(grid.K + 1)[:, None] + np.arange(grid.J)) - 0.2
     calls.update(apply=0, apply_adjoint=0)
-    v = solve_vi(f, P, grid.dt)
+    v = solve_vi(f, P)
     assert calls == {"apply": grid.K, "apply_adjoint": 0}
     calls.update(apply=0)
     stopped_forward_measure(v.stop_mask, InitialMeasure.uniform(grid), P)
