@@ -509,7 +509,8 @@ class TransitionOperator:
     right-hand side on its own, so a row's result does not depend on the
     block.  The grid is the one every consumer reads dt, t and x from;
     the operator has one step per time step of it and one node per
-    interior node.
+    interior node.  steps[k] is P_k itself, for the one-step loops of the
+    backward sweep and the forward push.
     """
 
     def __init__(self, slices, slice_map, grid: SpaceTimeGrid):
@@ -523,6 +524,7 @@ class TransitionOperator:
         if self.slice_map.min() < 0 or self.slice_map.max() >= len(self.slices):
             raise ValidationError("slice_map references missing slices")
         self.grid = grid
+        self.steps = [self.slices[i] for i in self.slice_map]
         # (slice, a block of the steps that use it), for the whole-family
         # pushes; a run of consecutive steps is kept as a slice, so that
         # rows[steps] is a view and not a copy
@@ -548,7 +550,7 @@ class TransitionOperator:
         return self.slices[0].n
 
     def slice_at(self, k: int) -> TransitionSlice:
-        return self.slices[self.slice_map[k]]
+        return self.steps[k]
 
     def apply(self, k: int, v: np.ndarray) -> np.ndarray:
         return self.slice_at(k).apply(v)

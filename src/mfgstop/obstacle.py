@@ -82,9 +82,10 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator) -> ValueFunction:
     v = np.empty((K + 1, J))
     np.multiply(P.grid.dt, f[:K], out=v[:K])
     v[K] = 0.0
+    steps = P.steps
     for k in range(K - 1, -1, -1):
         row = v[k]
-        np.add(row, P.apply(k, v[k + 1]), out=row)
+        np.add(row, steps[k].apply(v[k + 1]), out=row)
         np.maximum(0.0, row, out=row)
     # every entry is >= 0 or NaN (np.maximum propagates NaN), so this is
     # max |v| up to the sign of a zero, which 1.0 + vmax does not see, and

@@ -292,17 +292,23 @@ def segment_potential(spec: RewardSpec, a: Iterate, b: Iterate):
     has paths (1 - rho) y_a + rho y_b and h pairing (1 - rho) H_a + rho H_b:
     each evaluation costs O(K).  The interpolated paths are convex
     combinations of two range-checked paths, so they stay in range too.
+    Each term's theta(t_k) is evaluated once, here, not per evaluation;
+    the sum is _potential_of_paths's, bit for bit.
     """
     if a.family.masses.shape != b.family.masses.shape:
         raise ShapeMismatch("families must share a shape")
     grid = a.family.grid
     K = a.family.K
     t, dt = grid.t[:K], grid.dt
-    ends = [(y[:K], y_b[:K]) for y, y_b in zip(a.ys, b.ys)]
+    ends = [(fbar, fbar.theta(t), y[:K], y_b[:K])
+            for (fbar, _), y, y_b in zip(spec.terms, a.ys, b.ys)]
 
     def phi(rho: float) -> float:
-        paths = [(1.0 - rho) * y + rho * y_b for y, y_b in ends]
-        return _potential_of_paths(spec, t, paths, (1.0 - rho) * a.H + rho * b.H, dt)
+        total = 0.0
+        for fbar, theta, y, y_b in ends:
+            path = (1.0 - rho) * y + rho * y_b
+            total += dt * float(np.sum(theta * fbar._base_antideriv(path)))
+        return total + ((1.0 - rho) * a.H + rho * b.H)
 
     return phi
 

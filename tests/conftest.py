@@ -7,6 +7,8 @@ tests need many independent draws.
 
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +43,58 @@ def src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return env
+
+
+# Prints the name of the kernels scipy's OpenBLAS runs ("None" where it
+# cannot be read); the scripts of run_under_coretypes start with it.
+_OPENBLAS_CORE = """
+import ctypes, glob, os
+import scipy
+core = None
+libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+    name = ctypes.CDLL(path).scipy_openblas_get_corename
+    name.restype = ctypes.c_char_p
+    core = name().decode()
+print(core)
+"""
+
+
+def run_under_coretypes(script, coretypes):
+    """Run script in a fresh interpreter on one BLAS thread under each
+    OPENBLAS_CORETYPE in coretypes (None leaves it unset, so OpenBLAS
+    picks its kernels by CPU); return {coretype: script's output}.
+
+    OpenBLAS picks its kernels when it loads, so each needs its own
+    process.  Asserts that each override took, where the kernel name
+    is readable.
+    """
+    seen = {}
+    for coretype in coretypes:
+        env = dict(src_env(), OPENBLAS_NUM_THREADS="1")
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", _OPENBLAS_CORE + script], env=env,
+                             capture_output=True, text=True, check=True)
+        core, rest = out.stdout.split("\n", 1)
+        assert coretype is None or core in (coretype, "None")
+        seen[coretype] = rest
+    return seen
+
+
+def lapack_is_openblas():
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return "openblas" in lapack["name"].lower()
+
+
+def has_avx2():
+    """Whether the CPU runs OpenBLAS's Haswell kernels, which need AVX2."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return " avx2" in f.read()
+    except OSError:
+        return False
 
 
 def constant_model(mu=0.0, sigma=0.5):

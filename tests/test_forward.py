@@ -7,9 +7,12 @@ import pytest
 
 from mfgstop import (
     CoefficientFn,
+    DiffusionModel,
     MeasureFamily,
+    ProductField,
     SupportViolation,
     ValueFunction,
+    build_transition_operator,
     fokker_planck_residual,
     is_admissible,
     measure_ledger,
@@ -19,7 +22,14 @@ from mfgstop import (
     value_at_initial,
 )
 from mfgstop.forward import forbidden_support, random_test_function
-from conftest import make_instance, never_stop_masses, random_instance
+from conftest import (
+    has_avx2,
+    lapack_is_openblas,
+    make_instance,
+    never_stop_masses,
+    random_instance,
+    run_under_coretypes,
+)
 
 
 def _never_stop_value(grid):
@@ -49,26 +59,30 @@ def test_never_stopping_reproduces_all_continue():
 
 
 def _continuation_push(stop_mask, m0, P):
-    """The push as a loop over the continuation mask ~stop_mask: the
-    reference the in-place form must match byte for byte."""
+    """The push as a loop over the continuation mask ~stop_mask, with
+    the ledger kept step by step: the reference the in-place form must
+    match byte for byte.  A slice's stopped mass is numpy's sum of the
+    slice where it stops; a BLAS dot with the mask gives other bits,
+    which depend on the CPU's BLAS kernels."""
     cont = ~stop_mask
     out = np.empty((P.K + 1, P.n))
     stopped = np.empty(P.K + 1)
     absorbed = np.empty(P.K)
-    stopped[0] = m0.masses @ ~cont[0]
+    stopped[0] = np.add.reduce(m0.masses, where=~cont[0])
     out[0] = m0.masses * cont[0]
     for k in range(P.K):
         pushed = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
         absorbed[k] = out[k].sum() - pushed.sum()
-        stopped[k + 1] = pushed @ ~cont[k + 1]
+        stopped[k + 1] = np.add.reduce(pushed, where=~cont[k + 1])
         out[k + 1] = pushed * cont[k + 1]
     return out, stopped, absorbed
 
 
 def test_push_matches_the_continuation_mask_loop_bytewise():
     rng = np.random.default_rng(41)
-    for _ in range(10):
-        grid, model, P, m0, f = random_instance(rng)
+    # J=K=64 is large enough that a BLAS dot's stopped mass differs
+    for n in [None] * 10 + [64]:
+        grid, model, P, m0, f = random_instance(rng, J=n, K=n)
         for stop in (solve_vi(f, P).stop_mask, rng.random(grid.shape) < 0.3,
                      np.zeros(grid.shape, dtype=bool)):
             m, ledger = stopped_forward_measure(stop, m0, P)
@@ -85,18 +99,50 @@ def test_push_matches_the_continuation_mask_loop_bytewise():
 @pytest.mark.parametrize("never", [True, False])
 def test_push_holds_no_mask_grid_of_its_own(never):
     # the family is the only (K+1) x J array the push makes; a bool grid
-    # would add one byte per node
+    # would add one byte per node, and so would any whole-grid temporary
+    # of the ledger passes.  The push runs on one slice shared by every
+    # step and on a slice per step.
     grid, model, P, m0 = make_instance(K=200, J=200)
+    sigma = ProductField(CoefficientFn.constant(0.5), time=CoefficientFn.affine(1.0, 0.5))
+    per_step = build_transition_operator(DiffusionModel(mu=model.mu, sigma=sigma), grid)
+    assert len(set(map(id, per_step.steps))) == grid.K
     stop = None if never else solve_vi(np.full(grid.shape, 0.1), P).stop_mask
-    stopped_forward_measure(stop, m0, P)
-    tracemalloc.start()
-    try:
-        stopped_forward_measure(stop, m0, P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     nodes = (grid.K + 1) * grid.J
-    assert peak < 8 * nodes + nodes // 2
+    for op in (P, per_step):
+        stopped_forward_measure(stop, m0, op)
+        tracemalloc.start()
+        try:
+            stopped_forward_measure(stop, m0, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * nodes + nodes // 2
+
+
+_PUSH_HASHES = """
+import hashlib
+import numpy as np
+from mfgstop import (CoefficientFn, DiffusionModel, InitialMeasure, ProductField,
+                     build_grid, build_transition_operator, stopped_forward_measure)
+
+grid = build_grid(T=1.0, a=0.0, b=1.0, K=400, J=400)
+model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.0)),
+                       sigma=ProductField(CoefficientFn.constant(0.5)))
+P = build_transition_operator(model, grid)
+stop = np.random.default_rng(48).random(grid.shape) < 0.3
+m, ledger = stopped_forward_measure(stop, InitialMeasure.uniform(grid), P)
+for part in (m.masses, ledger.stopped_per_step, ledger.absorbed_per_step):
+    print(hashlib.sha256(part.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not lapack_is_openblas(), reason="scipy's LAPACK is not OpenBLAS")
+@pytest.mark.skipif(not has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
+def test_push_does_not_depend_on_the_cpu_kernels():
+    # the family and its ledger, stopped mass included, have the same
+    # bits under the CPU's own kernels and under two others
+    seen = run_under_coretypes(_PUSH_HASHES, (None, "Haswell", "Sandybridge"))
+    assert len(set(seen.values())) == 1, seen
 
 
 def test_zero_value_stops_all_mass_immediately():

@@ -46,7 +46,7 @@ from mfgstop.forward import stopped_forward_measure
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.mfg import PushCache
 from mfgstop.obstacle import complementarity_report, solve_vi
-from mfgstop.reward import segment_potential
+from mfgstop.reward import _potential_of_paths, segment_potential
 
 from conftest import congestion_instance, make_instance
 
@@ -196,6 +196,24 @@ def test_segment_potential_matches_potential_of_combined_family(kind):
         for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
             want = potential_value(spec, Iterate.of(spec, convex_combine(m, m_tilde, rho)))
             assert abs(phi(rho) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED))
+def test_segment_potential_is_the_potential_of_the_interpolated_paths(kind):
+    # phi evaluates each term's theta(t_k) once per segment; at every rho
+    # it keeps the bits of _potential_of_paths on the interpolated paths
+    fbar, h = CURVED[kind]
+    timed = FBarFn(fbar.kind, fbar.params, time_modulation=CoefficientFn.affine(1.0, 0.5))
+    grid, P, m0, spec, ctx = _curved_instance(timed, h)
+    a = Iterate.of(spec, stopped_forward_measure(None, m0, P)[0])
+    b = Iterate.of(spec, best_response(spec, a, ctx).family)
+    phi = segment_potential(spec, a, b)
+    K = grid.K
+    for rho in np.linspace(0.0, 1.0, 9).tolist():
+        paths = [(1.0 - rho) * y[:K] + rho * y_b[:K] for y, y_b in zip(a.ys, b.ys)]
+        want = _potential_of_paths(spec, grid.t[:K], paths,
+                                   (1.0 - rho) * a.H + rho * b.H, grid.dt)
+        assert phi(rho) == want
 
 
 def test_line_search_exponential_matches_golden_section_oracle():

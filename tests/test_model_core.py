@@ -29,7 +29,14 @@ from mfgstop import (
     discretize_generator,
     fold_reward,
 )
-from conftest import constant_model, random_instance, src_env
+from conftest import (
+    constant_model,
+    has_avx2,
+    lapack_is_openblas,
+    random_instance,
+    run_under_coretypes,
+    src_env,
+)
 
 
 # ----------------------------------------------------------------------
@@ -406,17 +413,10 @@ def test_one_ulp_asymmetry_takes_the_lu_solve():
 
 
 _CPU_HASHES = """
-import ctypes, glob, hashlib, os
+import hashlib
 import numpy as np
-import scipy
 from mfgstop import SpaceTimeGrid, TransitionOperator, TransitionSlice, Tridiagonal
 
-core = None
-libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
-    name = ctypes.CDLL(path).scipy_openblas_get_corename
-    name.restype = ctypes.c_char_p
-    core = name().decode()
 n = 301
 x = np.random.default_rng(11).random(n)
 rows = np.random.default_rng(12).random((40, n))
@@ -429,37 +429,16 @@ for upper in (0.7, 0.9):  # LDL^T, then LU
                 TransitionOperator.homogeneous(s, SpaceTimeGrid(4.0, 0.0, 1.0, 40, n))
                 .apply_each(rows)):
         h.update(out.tobytes())
-print(core, h.hexdigest())
+print(h.hexdigest())
 """
 
 
-def _lapack_is_openblas():
-    import scipy
-    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    return "openblas" in lapack["name"].lower()
-
-
-def _has_avx2():
-    try:
-        with open("/proc/cpuinfo") as f:
-            return " avx2" in f.read()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not _lapack_is_openblas(), reason="scipy's LAPACK is not OpenBLAS")
-@pytest.mark.skipif(not _has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
+@pytest.mark.skipif(not lapack_is_openblas(), reason="scipy's LAPACK is not OpenBLAS")
+@pytest.mark.skipif(not has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
 def test_slice_solves_do_not_depend_on_the_cpu_kernels():
     # OpenBLAS picks its kernels by CPU; the tridiagonal solves must give
     # the same bits under any of them
-    seen = {}
-    for coretype in ("Haswell", "Sandybridge"):
-        env = dict(src_env(), OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", _CPU_HASHES], env=env,
-                             capture_output=True, text=True, check=True)
-        core, digest = out.stdout.split()
-        assert core in (coretype, "None")  # the override took, where readable
-        seen[coretype] = digest
+    seen = run_under_coretypes(_CPU_HASHES, ("Haswell", "Sandybridge"))
     assert len(set(seen.values())) == 1, seen
 
 
