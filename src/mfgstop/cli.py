@@ -585,9 +585,11 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     _, v = _reward_and_value(inst, crowd)
     # v's stop rule acts at slice boundaries only; steps share substep
     # slices where they share a slice, built at the first step using it
-    P = inst.transition
-    fine = TransitionOperator([_SubsteppedSlice(inst.model, grid, np.argmax(P.slice_map == i))
-                               for i in range(len(P.slices))], P.slice_map, grid)
+    substepped = {}
+    for k, step in enumerate(inst.transition.steps):
+        if step not in substepped:
+            substepped[step] = _SubsteppedSlice(inst.model, grid, k)
+    fine = TransitionOperator([substepped[step] for step in inst.transition.steps], grid)
     exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine)[0].slice_totals()
 
     mc_seed = inst.mc_seed if seed is None else seed

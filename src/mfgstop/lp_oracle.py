@@ -66,7 +66,7 @@ def enumerate_stopping_rules(f_grid: np.ndarray, P: TransitionOperator,
             f"enumeration needs J*K <= {_MAX_RULE_CELLS}, got {cells}"
         )
     n_rules = 1 << cells
-    dense = [P.dense(k) for k in range(K)]
+    dense = [step.dense() for step in P.steps]
     dt = P.grid.dt
 
     best_val = -np.inf
@@ -135,7 +135,7 @@ def lp_solve_small(f_grid: np.ndarray, P: TransitionOperator,
     for k in range(K - 1):
         rows = slice((k + 1) * J, (k + 2) * J)
         G[rows, (k + 1) * J:(k + 2) * J] = np.eye(J)
-        G[rows, k * J:(k + 1) * J] = -P.dense(k).T
+        G[rows, k * J:(k + 1) * J] = -P.steps[k].dense().T
 
     # tableau: [G | I | h] with objective row [-c | 0 | 0]
     T = np.zeros((m_rows + 1, n + m_rows + 1))
@@ -176,7 +176,7 @@ def lp_solve_small(f_grid: np.ndarray, P: TransitionOperator,
 
     out = np.empty((K + 1, J))
     out[:K] = masses
-    out[K] = P.apply_adjoint(K - 1, masses[K - 1])
+    out[K] = P.steps[K - 1].apply_adjoint(masses[K - 1])
     family = MeasureFamily(out, P.grid, validate=False)
     return SimplexResult(value=float(T[-1, -1]), family=family, iterations=pivots)
 

@@ -134,15 +134,15 @@ def is_admissible(m: MeasureFamily, m0: InitialMeasure, P: TransitionOperator,
         worst, where, kind = float(excess0.max()), (0, j), "initial_bound"
 
     # the largest chain excess and its first (k, j) in row-major order,
-    # as np.argmax over the whole (K, J) excess would find them
+    # as np.argmax over the whole (K, J) excess would find them: the
+    # blocks come in order, so a tie keeps the earlier block's node
     top, at = -np.inf, None
     for steps, pushed in P.adjoint_blocks(A[:-1]):
         excess = A[1:][steps] - pushed
         excess[np.isnan(excess)] = np.inf  # NaN compares false; count it as unbounded
         i, j = np.unravel_index(np.argmax(excess), excess.shape)
-        k = int(steps.start + i if isinstance(steps, slice) else steps[i])
-        if at is None or excess[i, j] > top or (excess[i, j] == top and (k, j) < at):
-            top, at = excess[i, j], (k, int(j))
+        if at is None or excess[i, j] > top:
+            top, at = excess[i, j], (int(steps.start + i), int(j))
     if top > worst:
         worst, where, kind = float(top), (at[0] + 1, at[1]), "chain_bound"
 

@@ -501,62 +501,43 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
 
 
 class TransitionOperator:
-    """Per-step transitions P_k, k = 0..K-1, sharing slices when possible.
+    """Per-step transitions P_k, k = 0..K-1: steps[k] is P_k itself.
 
-    Time-homogeneous models store a single slice referenced by every step;
-    the *_each methods push a family with one solve per distinct slice
-    and block of about _BLOCK elements.  gttrs and pttrs solve each
-    right-hand side on its own, so a row's result does not depend on the
-    block.  The grid is the one every consumer reads dt, t and x from;
-    the operator has one step per time step of it and one node per
-    interior node.  steps[k] is P_k itself, for the one-step loops of the
-    backward sweep and the forward push.
+    Steps may share one slice object, as every step of a time-homogeneous
+    model does; slices lists the distinct ones in order of first use.
+    The whole-family pushes go through maximal runs of consecutive steps
+    that share a slice, one multi-column solve per run and block of
+    about _BLOCK elements.  gttrs and pttrs solve each right-hand side on
+    its own, so a row's result does not depend on the block.  The grid
+    is the one every consumer reads dt, t and x from; the operator has
+    one step per time step of it and one node per interior node.
     """
 
-    def __init__(self, slices, slice_map, grid: SpaceTimeGrid):
-        self.slices = list(slices)
-        self.slice_map = np.asarray(slice_map, dtype=int)
-        if len(self.slice_map) != grid.K:
-            raise ShapeMismatch(
-                f"slice_map has {len(self.slice_map)} steps, the grid K={grid.K}")
-        if any(s.n != grid.J for s in self.slices):
-            raise ShapeMismatch(f"a slice does not have the grid's J={grid.J} nodes")
-        if self.slice_map.min() < 0 or self.slice_map.max() >= len(self.slices):
-            raise ValidationError("slice_map references missing slices")
+    def __init__(self, steps, grid: SpaceTimeGrid):
+        self.steps = list(steps)
+        if len(self.steps) != grid.K:
+            raise ShapeMismatch(f"{len(self.steps)} steps, the grid K={grid.K}")
+        if any(s.n != grid.J for s in self.steps):
+            raise ShapeMismatch(f"a step does not have the grid's J={grid.J} nodes")
         self.grid = grid
-        self.steps = [self.slices[i] for i in self.slice_map]
-        # (slice, a block of the steps that use it), for the whole-family
-        # pushes; a run of consecutive steps is kept as a slice, so that
-        # rows[steps] is a view and not a copy
+        self.slices = list(dict.fromkeys(self.steps))
+        # (slice, a block of a run of steps using it); every block is a
+        # slice of consecutive steps, so rows[steps] is a view
         self._blocks = []
-        for i, s in enumerate(self.slices):
-            steps = np.flatnonzero(self.slice_map == i)
-            run = steps.size and steps[-1] - steps[0] + 1 == steps.size
-            for b in _row_blocks(steps.size, self.n):
-                if run:
-                    b = slice(steps[0] + b.start, steps[0] + b.stop)
-                self._blocks.append((s, b if run else steps[b]))
-
-    @classmethod
-    def homogeneous(cls, slice_: TransitionSlice, grid: SpaceTimeGrid) -> "TransitionOperator":
-        return cls([slice_], np.zeros(grid.K, dtype=int), grid)
+        start = 0
+        for k in range(1, grid.K + 1):
+            if k == grid.K or self.steps[k] is not self.steps[start]:
+                self._blocks += [(self.steps[start], slice(start + b.start, start + b.stop))
+                                 for b in _row_blocks(k - start, grid.J)]
+                start = k
 
     @property
     def K(self) -> int:
-        return len(self.slice_map)
+        return self.grid.K
 
     @property
     def n(self) -> int:
-        return self.slices[0].n
-
-    def slice_at(self, k: int) -> TransitionSlice:
-        return self.steps[k]
-
-    def apply(self, k: int, v: np.ndarray) -> np.ndarray:
-        return self.slice_at(k).apply(v)
-
-    def apply_adjoint(self, k: int, m: np.ndarray) -> np.ndarray:
-        return self.slice_at(k).apply_adjoint(m)
+        return self.grid.J
 
     def _rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -564,34 +545,23 @@ class TransitionOperator:
             raise ShapeMismatch(f"rows have shape {rows.shape}, expected {(self.K, self.n)}")
         return rows
 
-    def _each(self, rows: np.ndarray, solve) -> np.ndarray:
+    def apply_each(self, rows: np.ndarray) -> np.ndarray:
+        """Row k is P_k @ rows[k], for k < K; rows has shape (K, n)."""
         rows = self._rows(rows)
         out = np.empty_like(rows)
         for s, steps in self._blocks:
-            out[steps] = solve(s, rows[steps].T).T
+            out[steps] = s.apply(rows[steps].T).T
         return out
-
-    def apply_each(self, rows: np.ndarray) -> np.ndarray:
-        """Row k is P_k @ rows[k], for k < K; rows has shape (K, n)."""
-        return self._each(rows, TransitionSlice.apply)
-
-    def apply_adjoint_each(self, rows: np.ndarray) -> np.ndarray:
-        """Row k is P_k^T @ rows[k], for k < K; rows has shape (K, n)."""
-        return self._each(rows, TransitionSlice.apply_adjoint)
 
     def adjoint_blocks(self, rows: np.ndarray):
         """Iterate over (steps, pushed): pushed[i] is P_k^T @ rows[k] for
-        the i-th step k of steps, a block of about _BLOCK elements.
+        k = steps.start + i, a block of about _BLOCK elements.
 
-        The blocks cover every k < K once, bitwise as apply_adjoint_each,
-        without holding a (K, n) result; steps is a slice or an
-        increasing index array.
+        The blocks are slices that cover every k < K once and in order,
+        without holding a (K, n) result.
         """
         rows = self._rows(rows)
         return ((steps, s.apply_adjoint(rows[steps].T).T) for s, steps in self._blocks)
-
-    def dense(self, k: int) -> np.ndarray:
-        return self.slice_at(k).dense()
 
 
 def build_transition_operator(model: DiffusionModel, grid: SpaceTimeGrid) -> TransitionOperator:
@@ -602,11 +572,10 @@ def build_transition_operator(model: DiffusionModel, grid: SpaceTimeGrid) -> Tra
     model.validate_on_grid(grid)
     dt = grid.dt
     if model.time_constant:
-        sl = TransitionSlice(discretize_generator(model, grid, 0), dt)
-        return TransitionOperator.homogeneous(sl, grid)
-    slices = [TransitionSlice(discretize_generator(model, grid, k), dt)
-              for k in range(grid.K)]
-    return TransitionOperator(slices, np.arange(grid.K), grid)
+        return TransitionOperator(
+            [TransitionSlice(discretize_generator(model, grid, 0), dt)] * grid.K, grid)
+    return TransitionOperator([TransitionSlice(discretize_generator(model, grid, k), dt)
+                               for k in range(grid.K)], grid)
 
 
 # ----------------------------------------------------------------------

@@ -131,7 +131,6 @@ def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
     slack = np.maximum(0.0, -(P.grid.dt * f[:-1] + P.apply_each(v.values[1:])))
     integral = float(np.sum(slack * A[:-1]))
 
-    resid = np.abs(A[1:] - P.apply_adjoint_each(A[:-1]))
     # eligible nodes: the node and both space neighbors continue at
     # slices k and k+1; boundary-adjacent nodes are never eligible
     # (the absorbing boundary behaves like a stop node).
@@ -139,7 +138,13 @@ def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
     ok = cont[:-1] & cont[1:]
     elig = np.zeros_like(ok)
     elig[:, 1:-1] = ok[:, :-2] & ok[:, 1:-1] & ok[:, 2:]
-    worst = float(resid[elig].max()) if elig.any() else 0.0
+    # the residual |m_{k+1} - P_k^T m_k| a block of pushed rows at a
+    # time; np.maximum keeps a NaN, as a whole-grid max would
+    worst = 0.0
+    for steps, pushed in P.adjoint_blocks(A[:-1]):
+        e = elig[steps]
+        if e.any():
+            worst = np.maximum(worst, np.abs(A[1:][steps] - pushed)[e].max())
 
     return ComplementarityReport(stop_region_integral=integral,
-                                 continuation_residual=worst)
+                                 continuation_residual=float(worst))

@@ -179,8 +179,14 @@ def never_stop_masses(m0, P):
     out = np.empty((P.K + 1, P.n))
     out[0] = m0.masses
     for k in range(P.K):
-        out[k + 1] = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
+        out[k + 1] = np.maximum(P.steps[k].apply_adjoint(out[k]), 0.0)
     return out
+
+
+def adjoint_each(P, rows):
+    """Row k is P_k^T @ rows[k], for k < K, one step at a time: the
+    reference the whole-family pushes must match bit for bit."""
+    return np.array([step.apply_adjoint(r) for step, r in zip(P.steps, rows)])
 
 
 def per_value_grid_csv_text(grid, values):
@@ -210,7 +216,7 @@ def substepped_totals(model, P, m0, v, substeps):
     totals[0] = m.sum()
     step = None
     for k in range(P.K):
-        if step is None or P.slice_at(k) is not P.slice_at(k - 1):
+        if step is None or P.steps[k] is not P.steps[k - 1]:
             step = TransitionSlice(discretize_generator(model, P.grid, k),
                                    P.grid.dt / substeps)
         for _ in range(substeps):

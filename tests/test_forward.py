@@ -71,7 +71,7 @@ def _continuation_push(stop_mask, m0, P):
     stopped[0] = np.add.reduce(m0.masses, where=~cont[0])
     out[0] = m0.masses * cont[0]
     for k in range(P.K):
-        pushed = np.maximum(P.apply_adjoint(k, out[k]), 0.0)
+        pushed = np.maximum(P.steps[k].apply_adjoint(out[k]), 0.0)
         absorbed[k] = out[k].sum() - pushed.sum()
         stopped[k + 1] = np.add.reduce(pushed, where=~cont[k + 1])
         out[k + 1] = pushed * cont[k + 1]

@@ -35,7 +35,7 @@ from mfgstop import (
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.model_core import _BLOCK, _row_blocks
 from mfgstop.montecarlo import simulate_paths
-from conftest import constant_model, make_instance, random_instance
+from conftest import adjoint_each, constant_model, make_instance, random_instance
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_all_continue_scalar_geometric_decay():
     c, dt, K = 0.8, 0.5, 6
     A = Tridiagonal(lower=np.zeros(0), diag=np.array([-c]), upper=np.zeros(0))
     grid = SpaceTimeGrid(T=K * dt, a=0.0, b=1.0, K=K, J=1)
-    P = TransitionOperator.homogeneous(TransitionSlice(A, grid.dt), grid)
+    P = TransitionOperator([TransitionSlice(A, grid.dt)] * grid.K, grid)
     m0 = InitialMeasure.from_masses([1.0])
     m = stopped_forward_measure(None, m0, P)[0]
     p = 1.0 / (1.0 + dt * c)
@@ -247,7 +247,7 @@ def test_pair_unit_reward_identity_transition():
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=4, J=3)
     J = grid.J
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
-    P = TransitionOperator.homogeneous(TransitionSlice(A, grid.dt), grid)
+    P = TransitionOperator([TransitionSlice(A, grid.dt)] * grid.K, grid)
     m0 = InitialMeasure.uniform(grid)
     m = stopped_forward_measure(None, m0, P)[0]
     val = pair(np.ones(grid.shape), m)
@@ -433,7 +433,7 @@ def test_line_search_curvature_is_the_one_shot_gemv_bitwise(shape):
 
 
 def _one_shot_chain_excess(m, P):
-    excess = m.masses[1:] - P.apply_adjoint_each(m.masses[:-1])
+    excess = m.masses[1:] - adjoint_each(P, m.masses[:-1])
     excess[np.isnan(excess)] = np.inf
     k, j = np.unravel_index(np.argmax(excess), excess.shape)
     return excess[k, j], (int(k) + 1, int(j))
@@ -448,8 +448,7 @@ def _blocked_operators():
                              sigma=ProductField(CoefficientFn.constant(0.5),
                                                 time=CoefficientFn.affine(1.0, 0.5)))
     td = build_transition_operator(varying, grid)
-    alt = TransitionOperator([P.slices[0], td.slices[0]], [k % 2 for k in range(grid.K)],
-                             grid)
+    alt = TransitionOperator([(P.slices[0], td.slices[0])[k % 2] for k in range(grid.K)], grid)
     return grid, [P, td, alt]
 
 
@@ -461,14 +460,13 @@ def test_streamed_chain_check_and_ledger_match_the_one_shot_forms():
         m = stopped_forward_measure(None, m0, P)[0]
         ledger = measure_ledger(m, m0, P)
         totals = m.masses.sum(axis=1)
-        pushed = P.apply_adjoint_each(m.masses[:-1]).sum(axis=1)
+        pushed = adjoint_each(P, m.masses[:-1]).sum(axis=1)
         assert _bits(ledger.absorbed_per_step) == _bits(totals[:-1] - pushed)
         assert _bits(ledger.stopped_per_step) == _bits(np.append(m0.total, pushed) - totals)
 
         # from m_k = 0 nothing may arrive, so a planted mass is a violation
         # of its own size: first a tie in two blocks (the first node in
-        # row-major order wins; with alternating slices the block of the
-        # later node is searched first), then a larger one, then a NaN
+        # row-major order wins), then a larger one, then a NaN
         bad = MeasureFamily.zeros(grid)
         bad.masses[51, 3] = bad.masses[8, 800] = 0.25
         for plant in [None, (33, 10, 0.75), (41, 2, np.nan)]:

@@ -221,7 +221,7 @@ def test_resolvent_near_identity():
     grid = build_grid(T=1.0, a=0.0, b=100.0, K=2, J=3)
     model = constant_model(0.0, 1e-4)
     P = build_transition_operator(model, grid)
-    assert np.allclose(P.dense(0), np.eye(3), atol=1e-9)
+    assert np.allclose(P.steps[0].dense(), np.eye(3), atol=1e-9)
 
 
 def test_scalar_resolvent():
@@ -269,7 +269,7 @@ def test_substochastic_on_random_models():
     for _ in range(15):
         grid, model, P, m0, f = random_instance(rng)
         for k in range(grid.K):
-            D = P.dense(k)
+            D = P.steps[k].dense()
             assert D.min() >= -1e-13
             assert D.sum(axis=1).max() <= 1.0 + 1e-12
 
@@ -280,31 +280,31 @@ def test_resolvent_consistency():
     A = discretize_generator(model, grid, 0)
     M = np.eye(grid.J) - grid.dt * A.toarray()
     u = np.sin(np.linspace(0.0, 3.0, grid.J)) + 1.5
-    w = P.apply(0, u)
+    w = P.steps[0].apply(u)
     assert np.abs(M @ w - u).max() <= 1e-10 * np.abs(u).max()
 
 
 def test_adjoint_matches_transpose():
     rng = np.random.default_rng(3)
     grid, model, P, m0, f = random_instance(rng, J=7, K=4)
-    D = P.dense(1)
+    D = P.steps[1].dense()
     m = rng.random(grid.J)
-    assert np.allclose(P.apply_adjoint(1, m), D.T @ m, atol=1e-13)
+    assert np.allclose(P.steps[1].apply_adjoint(m), D.T @ m, atol=1e-13)
 
 
 def test_time_constant_model_shares_slices():
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=5, J=4)
     model = constant_model(0.2, 0.4)
     P = build_transition_operator(model, grid)
-    assert P.slice_at(0) is P.slice_at(4)
+    assert P.steps[0] is P.steps[4]
 
     tdep = DiffusionModel(
         mu=ProductField(CoefficientFn.constant(0.2),
                         time=CoefficientFn.affine(1.0, 0.5)),
         sigma=ProductField(CoefficientFn.constant(0.4)))
     P2 = build_transition_operator(tdep, grid)
-    assert P2.slice_at(0) is not P2.slice_at(4)
-    assert not np.allclose(P2.dense(0), P2.dense(4))
+    assert P2.steps[0] is not P2.steps[4]
+    assert not np.allclose(P2.steps[0].dense(), P2.steps[4].dense())
 
 
 def _bands(n, lower, diag, upper):
@@ -318,14 +318,19 @@ def _steps(K, J):
 
 
 def _homogeneous(n, lower, diag, upper, K):
-    return TransitionOperator.homogeneous(
-        TransitionSlice(_bands(n, lower, diag, upper), 0.1), _steps(K, n))
+    return TransitionOperator([TransitionSlice(_bands(n, lower, diag, upper), 0.1)] * K,
+                              _steps(K, n))
+
+
+def _two_slices(n, pattern):
+    """An operator whose step k is slice A or B as pattern[k] says."""
+    ab = {"A": TransitionSlice(_bands(n, 0.7, -2.0, 0.9), 0.1),
+          "B": TransitionSlice(_bands(n, 0.3, -1.5, 0.6), 0.1)}
+    return TransitionOperator([ab[c] for c in pattern], _steps(len(pattern), n))
 
 
 def _alternating(n, K):
-    return TransitionOperator([TransitionSlice(_bands(n, 0.7, -2.0, 0.9), 0.1),
-                               TransitionSlice(_bands(n, 0.3, -1.5, 0.6), 0.1)],
-                              [k % 2 for k in range(K)], _steps(K, n))
+    return _two_slices(n, "AB" * (K // 2) + "A" * (K % 2))
 
 
 def _time_dependent_operator(K, J, mu=0.3):
@@ -344,44 +349,48 @@ def _time_dependent_operator(K, J, mu=0.3):
     _homogeneous(3, 0.7, -2.0, 0.9, 6),
     _homogeneous(50, 0.7, -2.0, 0.9, 6),
     _time_dependent_operator(7, 50),
-    # two slices taking turns: neither one's steps form a run
+    # two slices taking turns: every run is one step
     _alternating(20, 7),
+    # runs of two, three and one step, the first slice used again last
+    _two_slices(20, "AABBBA"),
     # steps spanning several blocks of the whole-family solves
     _homogeneous(2100, 0.7, -2.0, 0.9, 30),
     _alternating(2100, 37),
+    _two_slices(2100, "A" * 20 + "B" * 9 + "A" * 11),
     # lower == upper: the LDL^T solve
     _homogeneous(3, 0.7, -2.0, 0.7, 6),
     _homogeneous(50, 0.7, -2.0, 0.7, 6),
     _homogeneous(2100, 0.7, -2.0, 0.7, 30),
     _time_dependent_operator(7, 50, mu=0.0),
-], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating", "blocks",
-        "alternating-blocks", "symmetric-n3", "symmetric-n50", "symmetric-blocks",
-        "symmetric-time-dependent"])
+], ids=["n1", "n2", "n3", "n50", "time-dependent", "alternating", "runs", "blocks",
+        "alternating-blocks", "runs-blocks", "symmetric-n3", "symmetric-n50",
+        "symmetric-blocks", "symmetric-time-dependent"])
 def test_batched_pushes_match_per_step_bitwise(P):
     rows = np.random.default_rng(8).random((P.K, P.n))
-    each = np.array([P.apply(k, rows[k]) for k in range(P.K)])
-    each_adj = np.array([P.apply_adjoint(k, rows[k]) for k in range(P.K)])
+    each = np.array([step.apply(r) for step, r in zip(P.steps, rows)])
+    each_adj = np.array([step.apply_adjoint(r) for step, r in zip(P.steps, rows)])
     assert np.array_equal(P.apply_each(rows), each)
-    assert np.array_equal(P.apply_adjoint_each(rows), each_adj)
-    # adjoint_blocks visits every step once, with the same rows
+    # adjoint_blocks visits every step once and in order, with the same rows
     seen = []
     for steps, pushed in P.adjoint_blocks(rows):
-        seen += list(np.arange(P.K)[steps])
+        assert isinstance(steps, slice)
+        seen += list(range(P.K)[steps])
         assert np.array_equal(pushed, each_adj[steps])
-    assert sorted(seen) == list(range(P.K))
+    assert seen == list(range(P.K))
+    assert len(P.slices) == len(set(map(id, P.steps)))
 
 
-@pytest.mark.parametrize("slices, slice_map, K, J, error", [
-    ([(5, 0.9)], [0] * 6, 7, 5, ShapeMismatch),  # one step short of the grid's K
-    ([(5, 0.9)], [0] * 8, 7, 5, ShapeMismatch),  # one step past it
-    ([(5, 0.9)], [0] * 7, 7, 6, ShapeMismatch),  # slices of 5 nodes, grid J = 6
-    ([(5, 0.9), (6, 0.6)], [k % 2 for k in range(7)], 7, 5, ShapeMismatch),  # one of 6
-    ([(5, 0.9)], [0, 1] * 3 + [0], 7, 5, ValidationError),  # no slice 1
-], ids=["K-short", "K-long", "J", "J-of-one-slice", "missing-slice"])
-def test_operator_must_fit_its_grid(slices, slice_map, K, J, error):
-    built = [TransitionSlice(_bands(n, 0.7, -2.0, upper), 0.1) for n, upper in slices]
-    with pytest.raises(error):
-        TransitionOperator(built, slice_map, _steps(K, J))
+@pytest.mark.parametrize("slices, K, J", [
+    ([(5, 0.9)] * 6, 7, 5),  # one step short of the grid's K
+    ([(5, 0.9)] * 8, 7, 5),  # one step past it
+    ([(5, 0.9)] * 7, 7, 6),  # steps of 5 nodes, grid J = 6
+    ([(5, 0.9), (6, 0.6)] * 3 + [(5, 0.9)], 7, 5),  # steps of 6 among them
+], ids=["K-short", "K-long", "J", "J-of-one-slice"])
+def test_operator_must_fit_its_grid(slices, K, J):
+    built = {(n, upper): TransitionSlice(_bands(n, 0.7, -2.0, upper), 0.1)
+             for n, upper in set(slices)}
+    with pytest.raises(ShapeMismatch):
+        TransitionOperator([built[key] for key in slices], _steps(K, J))
 
 
 def test_symmetric_slice_is_its_own_adjoint():
@@ -426,7 +435,7 @@ for upper in (0.7, 0.9):  # LDL^T, then LU
                     upper=np.full(n - 1, upper))
     s = TransitionSlice(A, 0.1)
     for out in (s.apply(x), s.apply_adjoint(x),
-                TransitionOperator.homogeneous(s, SpaceTimeGrid(4.0, 0.0, 1.0, 40, n))
+                TransitionOperator([s] * 40, SpaceTimeGrid(4.0, 0.0, 1.0, 40, n))
                 .apply_each(rows)):
         h.update(out.tobytes())
 print(h.hexdigest())
@@ -467,8 +476,6 @@ def test_batched_pushes_reject_wrong_shape():
     for shape in [(6, 4), (4, 4), (5, 3), (20,)]:
         with pytest.raises(ShapeMismatch):
             P.apply_each(np.zeros(shape))
-        with pytest.raises(ShapeMismatch):
-            P.apply_adjoint_each(np.zeros(shape))
         with pytest.raises(ShapeMismatch):
             P.adjoint_blocks(np.zeros(shape))
 

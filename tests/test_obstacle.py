@@ -19,13 +19,13 @@ from mfgstop import (
     value_at_initial,
 )
 from mfgstop.lp_oracle import enumerate_stopping_rules, random_admissible_measure
-from conftest import make_instance, random_instance
+from conftest import adjoint_each, make_instance, random_instance
 
 
 def _identity_operator(grid):
     J = grid.J
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
-    return TransitionOperator.homogeneous(TransitionSlice(A, grid.dt), grid)
+    return TransitionOperator([TransitionSlice(A, grid.dt)] * grid.K, grid)
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_recursion_exact_at_continue_nodes():
     grid, model, P, m0, f = random_instance(rng, J=9, K=7)
     v = solve_vi(f, P)
     for k in range(grid.K):
-        w = grid.dt * f[k] + P.apply(k, v.values[k + 1])
+        w = grid.dt * f[k] + P.steps[k].apply(v.values[k + 1])
         active = v.values[k] > v.tol_zero
         assert np.array_equal(v.values[k][active], w[active])
         # and the clamp is what produced the rest
@@ -114,7 +114,7 @@ def test_in_place_rows_match_the_one_expression_recursion_bitwise():
         f[rng.random(f.shape) < 0.3] = -0.0
         ref = np.zeros(grid.shape)
         for k in range(grid.K - 1, -1, -1):
-            ref[k] = np.maximum(0.0, grid.dt * f[k] + P.apply(k, ref[k + 1]))
+            ref[k] = np.maximum(0.0, grid.dt * f[k] + P.steps[k].apply(ref[k + 1]))
         v = solve_vi(f, P)
         assert v.values.tobytes() == ref.tobytes()
         assert np.array_equal(v.stop_mask, ref <= v.tol_zero)
@@ -184,7 +184,7 @@ def test_dual_feasibility():
     grid, model, P, m0, f = random_instance(rng)
     v = solve_vi(f, P)
     for k in range(grid.K):
-        w = grid.dt * f[k] + P.apply(k, v.values[k + 1])
+        w = grid.dt * f[k] + P.steps[k].apply(v.values[k + 1])
         assert np.all(v.values[k] >= w - 1e-12)
         assert np.all(v.values[k] >= 0.0)
 
@@ -251,7 +251,7 @@ def test_complementarity_allows_mass_on_tie_nodes():
     grid, model, P, m0 = make_instance(K=8, J=6)
     f = np.ones(grid.shape)
     ahead = solve_vi(f, P).values[4]
-    f[3, 2] = -P.apply(3, ahead)[2] / grid.dt
+    f[3, 2] = -P.steps[3].apply(ahead)[2] / grid.dt
     v = solve_vi(f, P)
     assert v.values[3, 2] == 0.0
     assert np.array_equal(np.argwhere(v.stop_mask[:-1]), [[3, 2]])
@@ -272,7 +272,7 @@ def test_duality_gap_splits_into_complementarity_and_chain_defects():
         m = random_admissible_measure(P, m0, rng)
         A, V = m.masses, v.values
         defects = (V[0] @ (m0.masses - A[0]),
-                   np.sum(V[1:] * (P.apply_adjoint_each(A[:-1]) - A[1:])))
+                   np.sum(V[1:] * (adjoint_each(P, A[:-1]) - A[1:])))
         integral = complementarity_report(v, f, m, P).stop_region_integral
         assert min(defects) >= -1e-14 and integral >= 0.0
         gap = value_at_initial(v, m0) - pair(f, m)

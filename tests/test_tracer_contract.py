@@ -10,6 +10,8 @@ suite.  The tracer module is loaded by path and never installed.
 import importlib
 import importlib.util
 import pathlib
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,26 +57,47 @@ def test_leaf_method_exists_on_transition_slice(method):
     assert callable(cls.__dict__[method])
 
 
-def test_batched_push_calls_each_distinct_slice_once(monkeypatch):
-    # the tracer counts and times solves at TransitionSlice.apply_adjoint,
-    # so a whole-family push must go through it, once per distinct slice
-    calls = []
-    original = TransitionSlice.apply_adjoint
-
-    def counted(self, m):
-        calls.append(self)
-        return original(self, m)
-
-    monkeypatch.setattr(TransitionSlice, "apply_adjoint", counted)
+def _operators():
+    """A homogeneous and a time-dependent operator of 9 steps, with the
+    number of distinct slices each should hold."""
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=9, J=5)
     sigma = CoefficientFn.constant(0.4)
     for time, slices in [(None, 1), (CoefficientFn.affine(1.0, 0.5), 9)]:
         model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.0)),
                                sigma=ProductField(sigma, time=time))
-        P = build_transition_operator(model, grid)
-        calls.clear()
-        P.apply_adjoint_each(np.ones((grid.K, grid.J)))
-        assert len(calls) == len(set(map(id, calls))) == len(P.slices) == slices
+        yield build_transition_operator(model, grid), slices
+
+
+def test_batched_push_calls_each_distinct_slice_once(monkeypatch):
+    # the tracer counts and times solves at TransitionSlice.apply and
+    # apply_adjoint, so a whole-family push must go through them, once
+    # per distinct slice
+    calls = {"apply": [], "apply_adjoint": []}
+    for method in calls:
+        original = getattr(TransitionSlice, method)
+
+        def counted(self, x, _original=original, _method=method):
+            calls[_method].append(self)
+            return _original(self, x)
+
+        monkeypatch.setattr(TransitionSlice, method, counted)
+    for P, slices in _operators():
+        rows = np.ones((P.K, P.n))
+        for method in calls.values():
+            method.clear()
+        list(P.adjoint_blocks(rows))
+        P.apply_each(rows)
+        for method in calls.values():
+            assert len(method) == len(set(map(id, method))) == len(P.slices) == slices
+
+
+def test_after_build_hook_counts_the_distinct_slices():
+    # the traced benchmark reads the operator through this hook after
+    # every build_transition_operator call
+    for P, slices in _operators():
+        tracer = SimpleNamespace(counts=Counter())
+        TR._after_build(tracer, P)
+        assert tracer.counts == {"model_core.slices": slices, "model_core.dense_bytes": 0}
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3], ids=["ldlt", "lu"])
