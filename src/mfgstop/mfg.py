@@ -173,12 +173,13 @@ def line_search(spec: RewardSpec, it: Iterate, m_tilde: MeasureFamily,
             if b == 0.0:
                 continue
             gy = g(grid.x)
-            # (m_tilde - m)[:K] @ gy a block of rows at a time: each row's
-            # product is the whole-grid matrix-vector call's, as long as
-            # BLAS groups the rows alike (see _row_blocks)
+            # each row of (m_tilde - m)[:K] against gy, summed by numpy
+            # a block of rows at a time, with no BLAS call: the bits
+            # do not depend on the CPU's BLAS kernels
             delta = np.empty(K)
             for rows in _row_blocks(K, m.J):
-                delta[rows] = (m_tilde.masses[rows] - m.masses[rows]) @ gy
+                delta[rows] = np.add.reduce((m_tilde.masses[rows] - m.masses[rows]) * gy,
+                                            axis=1)
             th = fbar.theta(grid.t[:K])
             curv += b * grid.dt * float(np.sum(th * delta * delta))
         if curv <= 0.0:

@@ -98,10 +98,12 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator) -> ValueFunction:
 
 
 def value_at_initial(v: ValueFunction, m0: InitialMeasure) -> float:
-    """Integral of the initial value slice against the initial measure."""
+    """Integral of the initial value slice against the initial measure,
+    summed by numpy rather than a BLAS dot, so its bits do not depend on
+    the CPU's BLAS kernels."""
     if len(m0.masses) != v.J:
         raise ShapeMismatch("initial measure length does not match value grid")
-    return float(v.values[0] @ m0.masses)
+    return float(np.add.reduce(v.values[0] * m0.masses))
 
 
 @dataclass(frozen=True)

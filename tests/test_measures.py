@@ -410,20 +410,15 @@ def test_moment_and_convex_combine_are_the_one_shot_forms_bitwise(shape):
 @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
 def test_line_search_curvature_is_the_one_shot_gemv_bitwise(shape):
     # the closed-form step gain / curv with 0 < gain < curv carries the
-    # bits of both; the one-shot curvature is one matrix-vector product.
-    # Above a size threshold OpenBLAS splits that product's rows evenly
-    # between threads; its bits then match the blocks when each share is
-    # a multiple of 4 rows, as with 1600 rows on 1, 2, 4, 5 or 8 threads.
+    # bits of both; the one-shot curvature is numpy's row reduction of
+    # the whole (K, J) product, which replaced a BLAS matrix-vector call
+    # (the gemv of the name), so its bits do not depend on BLAS
     grid, m1, m2, rng = _block_case(shape, 22)
     K, dt = grid.K, grid.dt
     g = CoefficientFn.polynomial(0.2, 1.0)
     spec = RewardSpec(terms=((FBarFn("linear", (1.0, 2.0)), g),), grid=grid)
     d = m2.masses[:K] - m1.masses[:K]
-    delta = d @ g(grid.x)
-    blocked = np.empty(K)
-    for rows in _row_blocks(K, grid.J):
-        blocked[rows] = d[rows] @ g(grid.x)
-    assert _bits(blocked) == _bits(delta)
+    delta = np.add.reduce(d * g(grid.x), axis=1)
     f = np.zeros(shape)
     f[:K] = 1e-9 * d
     gain = float(dt * np.sum(f[:K] * d))

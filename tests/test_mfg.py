@@ -48,7 +48,13 @@ from mfgstop.mfg import PushCache
 from mfgstop.obstacle import complementarity_report, solve_vi
 from mfgstop.reward import _potential_of_paths, segment_potential
 
-from conftest import congestion_instance, make_instance
+from conftest import (
+    congestion_instance,
+    has_avx2,
+    lapack_is_openblas,
+    make_instance,
+    run_under_coretypes,
+)
 
 
 def _decoupled_spec(grid, m0, a=0.7):
@@ -678,3 +684,36 @@ def test_successive_solves_with_different_m0_keep_their_own_pushes(monkeypatch):
     _assert_same_solve(second, _solve_without_cache(monkeypatch, other_spec, other,
                                                     max_iters=30, eps_tol=1e-9))
     assert not np.array_equal(first.m_star.masses, second.m_star.masses)
+
+
+_SOLVE_HASHES = """
+import hashlib
+import numpy as np
+from mfgstop import (CoefficientFn, DiffusionModel, FBarFn, InitialMeasure, ModelContext,
+                     ProductField, RewardSpec, build_grid, build_transition_operator,
+                     fixed_point_solve)
+
+grid = build_grid(T=1.0, a=0.0, b=1.0, K=100, J=100)
+model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.0)),
+                       sigma=ProductField(CoefficientFn.constant(0.5)))
+m0 = InitialMeasure.uniform(grid)
+spec = RewardSpec(terms=((FBarFn("linear", (1.0, 2.0)), CoefficientFn.constant(1.0)),)
+                  ).validated(grid, m0)
+ctx = ModelContext(grid=grid, model=model, transition=build_transition_operator(model, grid),
+                   m0=m0)
+r = fixed_point_solve(spec, ctx, max_iters=500, eps_tol=1e-9)
+print(r.iterations, r.value.hex())
+for part in (r.m_star.masses, np.asarray(r.trace.rho)):
+    print(hashlib.sha256(part.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not lapack_is_openblas(), reason="scipy's LAPACK is not OpenBLAS")
+@pytest.mark.skipif(not has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
+def test_solve_does_not_depend_on_the_cpu_kernels():
+    # the congestion game's FW solve: its value, family and step sizes
+    # have the same bits under the CPU's own kernels and under two others.
+    # A BLAS matrix-vector product for line_search's curvature gave other
+    # step sizes under the Sandybridge kernels at this size
+    seen = run_under_coretypes(_SOLVE_HASHES, (None, "Haswell", "Sandybridge"))
+    assert len(set(seen.values())) == 1, seen
