@@ -474,7 +474,8 @@ class _Suite:
 
 
 def _read_family(inst: Instance, out_dir: str) -> MeasureFamily:
-    """The family in out_dir's measure.csv, checked against the config's grid."""
+    """The family in out_dir's measure.csv, checked against the config's
+    grid and for finite masses; negative ones are left to the checks."""
     times, nodes, masses = read_grid_csv(os.path.join(out_dir, "measure.csv"))
     grid = inst.grid
     if masses.shape != grid.shape:
@@ -482,6 +483,8 @@ def _read_family(inst: Instance, out_dir: str) -> MeasureFamily:
             f"measure CSV shape {masses.shape} does not match config grid {grid.shape}")
     if not (np.array_equal(times, grid.t) and np.array_equal(nodes, grid.x)):
         raise VerificationFailure("measure CSV coordinates differ from config grid")
+    if not np.all(np.isfinite(masses)):
+        raise VerificationFailure("measure CSV has non-finite masses")
     return MeasureFamily(masses, grid, validate=False)
 
 

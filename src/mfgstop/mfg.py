@@ -4,14 +4,15 @@ Because the coupled reward derives from a concave potential F, a relaxed
 equilibrium is exactly a maximizer of F over the admissible polytope.
 Each iteration builds one ``Iterate`` of the current crowd (its moment
 paths and h pairing), the best response to it (an obstacle problem plus
-a forward pass), an exact or golden-section line search along the
-segment toward it, and a convex update.  The golden section runs on the
-``Iterate`` of each end: F along the segment is a function of
-(1 - rho) y + rho y_tilde and (1 - rho) H + rho H_tilde, so each probe
-costs O(K).  The exploitability gap
-pair(f(., m), m_tilde) - pair(f(., m), m) is both the Nash defect of m
-and an upper bound on the remaining potential gap, so it doubles as the
-stopping criterion.
+a forward pass) with the response's ``Iterate``, an exact or
+golden-section line search along the segment toward it, and a convex
+update.  F along the segment is a function of (1 - rho) y + rho y_tilde
+and (1 - rho) H + rho H_tilde, so the line search reads only the two
+``Iterate``s and no grid.  The exploitability
+pair(f(., m), m_tilde - m) is F's slope toward the response, which
+``directional_gain`` reads off the moment paths in O(K).  It is the
+Nash defect of m, an upper bound on the remaining potential gap (the
+stopping criterion), and the closed-form step's gain.
 
 Near a mixed equilibrium Frank-Wolfe zig-zags between a few vertices,
 so the same stop rules come back as best responses again and again.
@@ -20,11 +21,11 @@ of m0 depends only on the stop mask, so a ``PushCache`` keyed by the
 exact mask returns a recurring rule's family without pushing again,
 bitwise equal to a fresh push.  To bound memory it keeps a push
 only once its rule has recurred among the last few best responses, and
-at most three of them.  The loop holds no value grid: a best response
-keeps only the stop mask of its obstacle problem, and the best iterate
-only its ``Iterate``.  At exit the value grid of the best iterate, and
-its reward when it is not the last iterate evaluated (only possible
-when the iteration budget runs out), are recomputed, bit for bit.
+at most three of them.  The loop holds no value grid and no reward past
+the obstacle problem: a best response keeps only the stop mask of its
+obstacle problem, and the best iterate only its ``Iterate``.  At exit
+the reward and value grid of the best iterate are recomputed from its
+moment paths, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .model_core import (
     InitialMeasure,
     SpaceTimeGrid,
     TransitionOperator,
-    _row_blocks,
 )
 from .obstacle import ValueFunction, solve_vi, value_at_initial
 from .reward import (
@@ -86,8 +86,7 @@ class ModelContext:
 
 @dataclass(frozen=True)
 class BestResponse:
-    family: MeasureFamily
-    f_grid: np.ndarray
+    iterate: Iterate
     exploitability: float
 
 
@@ -130,20 +129,19 @@ def best_response(spec: RewardSpec, it: Iterate, ctx: ModelContext,
                   pushes: PushCache | None = None) -> BestResponse:
     """Optimal stopping response to the crowd it.family: solve the
     obstacle problem for its reward and push the initial measure through
-    its rule.  Its exploitability is the value a single deviating agent
-    gains by playing it against the crowd.  pushes, if given, must be a
+    its rule.  Its exploitability, the value a single deviating agent
+    gains by playing it against the crowd, is ``directional_gain`` from
+    it to the response's ``Iterate``.  pushes, if given, must be a
     ``PushCache`` of ctx, and the push is taken from it.  Only the stop
-    mask of the value function is kept, so no value grid is live during
-    the push and the pairings; its value grid is
-    ``solve_vi(f_grid, ctx.transition)``."""
-    f = evaluate_reward(spec, it.ys)
-    stop = solve_vi(f, ctx.transition).stop_mask
+    mask of the value function is kept, and the reward goes before the
+    push, so neither grid is live during the push."""
+    stop = solve_vi(evaluate_reward(spec, it.ys), ctx.transition).stop_mask
     if pushes is None:
         fam = stopped_forward_measure(stop, ctx.m0, ctx.transition)[0]
     else:
         fam = pushes.push(stop)
-    eps = pair(f, fam) - pair(f, it.family)
-    return BestResponse(family=fam, f_grid=f, exploitability=eps)
+    it_tilde = Iterate.of(spec, fam)
+    return BestResponse(iterate=it_tilde, exploitability=directional_gain(spec, it, it_tilde))
 
 
 _CONCAVITY_SLACK = 1e-8
@@ -151,44 +149,35 @@ _GOLDEN_TOL = 1e-10
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def line_search(spec: RewardSpec, it: Iterate, m_tilde: MeasureFamily,
-                f: np.ndarray) -> float:
-    """Maximize rho -> F(m + rho (m_tilde - m)) over [0, 1], m = it.family.
+def line_search(spec: RewardSpec, it: Iterate, it_tilde: Iterate,
+                gain: float) -> float:
+    """Maximize rho -> F(m + rho (m_tilde - m)) over [0, 1] between the
+    families of it and it_tilde, reading only their moment paths and h
+    pairings.
 
-    All-linear specs admit a closed-form quadratic maximizer, from the
-    reward f = f(., m).  Otherwise a golden-section search on the
-    ``Iterate`` of both ends (``segment_potential``, O(K) per probe)
-    refines to an interval of width 1e-10, with a midpoint-concavity
-    guard on the sampled values; it reads no f.  Boundary ties resolve
-    to the smaller rho.
+    All-linear specs admit a closed-form quadratic maximizer: gain is
+    the slope at rho = 0 (``directional_gain(spec, it, it_tilde)``, the
+    exploitability when it_tilde is a best response), and the curvature
+    is sum_i b_i dt sum_{k<K} theta_i(t_k) (y_tilde - y)_{i,k}^2, summed
+    by numpy with no BLAS call.  Otherwise a golden-section search on
+    ``segment_potential`` (O(K) per probe), which reads no gain, refines
+    to an interval of width 1e-10, with a midpoint-concavity guard on
+    the sampled values.  Boundary ties resolve to the smaller rho.
     """
-    m = it.family
     if spec.all_linear:
-        gain = directional_gain(f, m, m_tilde)
-        grid = m.grid
-        K = m.K
+        grid = it.family.grid
+        K = it.family.K
         curv = 0.0
-        for fbar, g in spec.terms:
-            b = fbar.params[1]
-            if b == 0.0:
-                continue
-            gy = g(grid.x)
-            # each row of (m_tilde - m)[:K] against gy, summed by numpy
-            # a block of rows at a time, with no BLAS call: the bits
-            # do not depend on the CPU's BLAS kernels
-            delta = np.empty(K)
-            for rows in _row_blocks(K, m.J):
-                delta[rows] = np.add.reduce((m_tilde.masses[rows] - m.masses[rows]) * gy,
-                                            axis=1)
-            th = fbar.theta(grid.t[:K])
-            curv += b * grid.dt * float(np.sum(th * delta * delta))
+        for (fbar, _), y, y_b in zip(spec.terms, it.ys, it_tilde.ys):
+            d = y_b[:K] - y[:K]
+            curv += fbar.params[1] * grid.dt * float(np.sum(fbar.theta(grid.t[:K]) * d * d))
         if curv <= 0.0:
             return 1.0 if gain > 0.0 else 0.0
         if gain <= 0.0:
             return 0.0
         return min(1.0, gain / curv)
 
-    phi = segment_potential(spec, it, Iterate.of(spec, m_tilde))
+    phi = segment_potential(spec, it, it_tilde)
     probes = [0.0, 0.25, 0.5, 0.75, 1.0]
     vals = {r: phi(r) for r in probes}
     scale = max(1.0, max(abs(v) for v in vals.values()))
@@ -319,37 +308,28 @@ def fixed_point_solve(spec: RewardSpec, ctx: ModelContext,
         if not np.isfinite(eps):
             raise SolverError(f"exploitability is {eps} at iteration {iterations}; "
                               "the reward or its pairing is not finite")
-        last_is_best = best is None or eps < best[0]
-        if last_is_best:
+        if best is None or eps < best[0]:
             best = (eps, it)
         if eps <= eps_tol:
             converged = True
             break
         if iterations >= max_iters:
             break
-        # keep only the family past this point, and the reward only
-        # through the line search, so that the next best_response runs
-        # without this response's reward (peak memory)
-        fam, f, br = br.family, br.f_grid, None
-        rho = line_search(spec, it, fam, f)
-        f = None
+        rho = line_search(spec, it, br.iterate, eps)
         trace.append(potential_value(spec, it), eps, rho, time.perf_counter() - start)
-        m = convex_combine(m, fam, rho)
-        # drop the old iterate before the next one is built (peak memory)
-        it = fam = None
+        m = convex_combine(m, br.iterate.family, rho)
+        # drop the old iterate and response before the next ones are
+        # built (peak memory)
+        it = br = None
         iterations += 1
 
-    # the best iterate keeps no grid but its family; on convergence it is
-    # the last one evaluated, whose reward is still live, since every
-    # earlier exploitability exceeded eps_tol.  Its value grid, and the
-    # reward of an earlier iterate, come from the computation
-    # best_response ran on it, so they have the same bits.
+    # the best iterate keeps no grid but its family; its reward and value
+    # grid come from the computation best_response ran on it, so they
+    # have the same bits
     eps, it = best
     m = it.family
-    f = br.f_grid if last_is_best else None
     br = pushes = None  # before the grids built below (peak memory)
-    if f is None:
-        f = evaluate_reward(spec, it.ys)
+    f = evaluate_reward(spec, it.ys)
     v = solve_vi(f, ctx.transition)
 
     return FixedPointResult(

@@ -344,6 +344,23 @@ def test_malformed_measure_csv_fails_verification(stop_now_game, tmp_path, case)
         assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
 
 
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_non_finite_mass_fails_verification(decoupled_artifacts, tmp_path, mass):
+    # a corrupted artifact is a verification failure (exit 5), not a
+    # solver failure in the reward or value function it would feed
+    cfg, out = decoupled_artifacts
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("trace.csv", "summary.json", "measure.csv"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    lines = (bad / "measure.csv").read_text().splitlines()
+    t, x, _ = lines[20].split(",")
+    lines[20] = f"{t},{x},{mass}"
+    (bad / "measure.csv").write_text("\n".join(lines) + "\n")
+    for command in ("verify", "mc-check"):
+        assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+
+
 @pytest.mark.parametrize("variant", ["blank_line", "crlf", "no_final_newline"])
 def test_measure_csv_reader_tolerates_layout(decoupled_artifacts, tmp_path, variant):
     _, out = decoupled_artifacts

@@ -26,7 +26,6 @@ from mfgstop import (
     convex_combine,
     directional_gain,
     is_admissible,
-    line_search,
     measure_ledger,
     moment,
     pair,
@@ -334,10 +333,10 @@ def test_family_rejects_bad_input():
 # ----------------------------------------------------------------------
 # block-wise computations: bitwise equal to their one-shot formulas
 #
-# pair and directional_gain follow numpy's pairwise-summation tree, and
-# moment, convex_combine and line_search's curvature go a block of rows
-# at a time.  A numpy or BLAS whose sums or products change with the
-# blocking fails here, not silently in the solver's outputs.
+# pair follows numpy's pairwise-summation tree, and moment and
+# convex_combine go a block of rows at a time.  A numpy or BLAS whose
+# sums or products change with the blocking fails here, not silently in
+# the solver's outputs.
 
 # (K+1, J): K*J < 8 summands, exactly one leaf, one leaf + 1, odd sizes,
 # K not a multiple of the row block, J above the leaf, and 1600 x 800
@@ -379,9 +378,14 @@ def test_pair_and_gain_sums_are_the_one_shot_sums_bitwise(shape):
     K, dt = grid.K, grid.dt
     f = rng.normal(size=shape) * _spread(rng, shape)
     assert _bits(pair(f, m1)) == _bits(float(dt * np.sum(f[:K] * m1.masses[:K])))
-    gain = directional_gain(f, m1, m2)
-    one_shot = float(dt * np.sum(f[:K] * (m2.masses[:K] - m1.masses[:K])))
-    assert _bits(gain) == _bits(one_shot)
+    # the gain reads moment paths, and sums their K products with numpy's
+    # pairwise sum, not a BLAS dot product
+    g = CoefficientFn.polynomial(0.2, 1.0)
+    spec = RewardSpec(terms=((FBarFn("linear", (1.0, 2.0)), g),), grid=grid)
+    a, b = Iterate.of(spec, m1), Iterate.of(spec, m2)
+    y, y_b = a.ys[0][:K], b.ys[0][:K]
+    one_shot = dt * float(np.sum((1.0 - 2.0 * y) * (y_b - y)))
+    assert _bits(directional_gain(spec, a, b)) == _bits(one_shot)
 
 
 @pytest.mark.parametrize("shape", _BLOCK_SHAPES)
@@ -405,26 +409,6 @@ def test_moment_and_convex_combine_are_the_one_shot_forms_bitwise(shape):
     rho = float(rng.random())
     one_shot = (1.0 - rho) * m1.masses + rho * m2.masses
     assert _bits(convex_combine(m1, m2, rho).masses) == _bits(one_shot)
-
-
-@pytest.mark.parametrize("shape", _BLOCK_SHAPES)
-def test_line_search_curvature_is_the_one_shot_gemv_bitwise(shape):
-    # the closed-form step gain / curv with 0 < gain < curv carries the
-    # bits of both; the one-shot curvature is numpy's row reduction of
-    # the whole (K, J) product, which replaced a BLAS matrix-vector call
-    # (the gemv of the name), so its bits do not depend on BLAS
-    grid, m1, m2, rng = _block_case(shape, 22)
-    K, dt = grid.K, grid.dt
-    g = CoefficientFn.polynomial(0.2, 1.0)
-    spec = RewardSpec(terms=((FBarFn("linear", (1.0, 2.0)), g),), grid=grid)
-    d = m2.masses[:K] - m1.masses[:K]
-    delta = np.add.reduce(d * g(grid.x), axis=1)
-    f = np.zeros(shape)
-    f[:K] = 1e-9 * d
-    gain = float(dt * np.sum(f[:K] * d))
-    curv = 2.0 * dt * float(np.sum(np.ones(K) * delta * delta))
-    assert 0.0 < gain < curv
-    assert _bits(line_search(spec, Iterate.of(spec, m1), m2, f)) == _bits(gain / curv)
 
 
 def _one_shot_chain_excess(m, P):

@@ -30,6 +30,7 @@ from mfgstop import (
     build_grid,
     build_transition_operator,
     convex_combine,
+    directional_gain,
     evaluate_reward,
     fixed_point_solve,
     line_search,
@@ -112,13 +113,14 @@ def test_best_response_ignores_crowd_when_decoupled():
 
     zero = MeasureFamily.zeros(grid)
     crowd = stopped_forward_measure(None, m0, P)[0]
-    br_a = best_response(spec, Iterate.of(spec, zero), ctx)
-    br_b = best_response(spec, Iterate.of(spec, crowd), ctx)
+    it_a, it_b = Iterate.of(spec, zero), Iterate.of(spec, crowd)
+    br_a = best_response(spec, it_a, ctx)
+    br_b = best_response(spec, it_b, ctx)
 
-    np.testing.assert_array_equal(br_a.f_grid, br_b.f_grid)
-    np.testing.assert_array_equal(br_a.family.masses, br_b.family.masses)
-    np.testing.assert_array_equal(solve_vi(br_a.f_grid, P).values,
-                                  solve_vi(br_b.f_grid, P).values)
+    f_a, f_b = evaluate_reward(spec, it_a.ys), evaluate_reward(spec, it_b.ys)
+    np.testing.assert_array_equal(f_a, f_b)
+    np.testing.assert_array_equal(br_a.iterate.family.masses, br_b.iterate.family.masses)
+    np.testing.assert_array_equal(solve_vi(f_a, P).values, solve_vi(f_b, P).values)
 
 
 def test_best_response_stops_at_once_when_reward_is_negative():
@@ -128,14 +130,16 @@ def test_best_response_stops_at_once_when_reward_is_negative():
         terms=((FBarFn("linear", (-1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
 
-    br = best_response(spec, Iterate.of(spec, stopped_forward_measure(None, m0, P)[0]), ctx)
-    assert np.all(br.f_grid < 0.0)
-    v = solve_vi(br.f_grid, P)
+    it = Iterate.of(spec, stopped_forward_measure(None, m0, P)[0])
+    br = best_response(spec, it, ctx)
+    f = evaluate_reward(spec, it.ys)
+    assert np.all(f < 0.0)
+    v = solve_vi(f, P)
     np.testing.assert_array_equal(v.values, np.zeros((grid.K + 1, grid.J)))
-    np.testing.assert_array_equal(br.family.masses,
+    np.testing.assert_array_equal(br.iterate.family.masses,
                                   np.zeros((grid.K + 1, grid.J)))
     assert value_at_initial(v, m0) == 0.0
-    assert measure_ledger(br.family, m0, P).stopped_per_step.sum() == pytest.approx(
+    assert measure_ledger(br.iterate.family, m0, P).stopped_per_step.sum() == pytest.approx(
         1.0, abs=1e-12)
 
 
@@ -162,9 +166,9 @@ def test_best_response_value_matches_small_lp():
         m = random_admissible_measure(P, m0, rng)
         it = Iterate.of(spec, m)
         br = best_response(spec, it, ctx)
-        np.testing.assert_array_equal(br.f_grid, evaluate_reward(spec, it.ys))
-        lp = lp_solve_small(br.f_grid, P, m0)
-        got = pair(br.f_grid, br.family)
+        f = evaluate_reward(spec, it.ys)
+        lp = lp_solve_small(f, P, m0)
+        got = pair(f, br.iterate.family)
         assert abs(got - lp.value) <= 1e-9 * (1.0 + abs(lp.value))
 
 
@@ -176,9 +180,10 @@ def test_line_search_interior_matches_golden_section_oracle():
     grid, model, P, m0, spec, ctx = congestion_instance(J=40, K=40)
     m = stopped_forward_measure(None, m0, P)[0]
     it = Iterate.of(spec, m)
-    m_tilde = best_response(spec, it, ctx).family
+    br = best_response(spec, it, ctx)
+    m_tilde = br.iterate.family
 
-    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys))
+    rho = line_search(spec, it, br.iterate, br.exploitability)
     assert 0.01 < rho < 0.99
 
     def phi(r):
@@ -197,8 +202,9 @@ def test_segment_potential_matches_potential_of_combined_family(kind):
     for m in (stopped_forward_measure(None, m0, P)[0],
               random_admissible_measure(P, m0, rng)):
         it = Iterate.of(spec, m)
-        m_tilde = best_response(spec, it, ctx).family
-        phi = segment_potential(spec, it, Iterate.of(spec, m_tilde))
+        it_tilde = best_response(spec, it, ctx).iterate
+        m_tilde = it_tilde.family
+        phi = segment_potential(spec, it, it_tilde)
         for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
             want = potential_value(spec, Iterate.of(spec, convex_combine(m, m_tilde, rho)))
             assert abs(phi(rho) - want) <= 1e-13 * max(1.0, abs(want))
@@ -212,7 +218,7 @@ def test_segment_potential_is_the_potential_of_the_interpolated_paths(kind):
     timed = FBarFn(fbar.kind, fbar.params, time_modulation=CoefficientFn.affine(1.0, 0.5))
     grid, P, m0, spec, ctx = _curved_instance(timed, h)
     a = Iterate.of(spec, stopped_forward_measure(None, m0, P)[0])
-    b = Iterate.of(spec, best_response(spec, a, ctx).family)
+    b = best_response(spec, a, ctx).iterate
     phi = segment_potential(spec, a, b)
     K = grid.K
     for rho in np.linspace(0.0, 1.0, 9).tolist():
@@ -226,9 +232,10 @@ def test_line_search_exponential_matches_golden_section_oracle():
     grid, P, m0, spec, ctx = _curved_instance(*CURVED["exponential"])
     m = stopped_forward_measure(None, m0, P)[0]
     it = Iterate.of(spec, m)
-    m_tilde = best_response(spec, it, ctx).family
+    br = best_response(spec, it, ctx)
+    m_tilde = br.iterate.family
 
-    rho = line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys))
+    rho = line_search(spec, it, br.iterate, br.exploitability)
     assert 0.01 < rho < 0.99
 
     def phi(r):
@@ -246,12 +253,13 @@ def test_line_search_decoupled_takes_full_or_no_step():
 
     zero = MeasureFamily.zeros(grid)
     it = Iterate.of(spec, zero)
-    m_tilde = best_response(spec, it, ctx).family
-    assert pair(evaluate_reward(spec, it.ys), m_tilde) > 0.0
-    assert line_search(spec, it, m_tilde, evaluate_reward(spec, it.ys)) == 1.0
+    br = best_response(spec, it, ctx)
+    assert pair(evaluate_reward(spec, it.ys), br.iterate.family) > 0.0
+    assert line_search(spec, it, br.iterate, br.exploitability) == 1.0
     # stepping away from the better measure gains nothing
-    it_tilde = Iterate.of(spec, m_tilde)
-    assert line_search(spec, it_tilde, zero, evaluate_reward(spec, it_tilde.ys)) == 0.0
+    back = directional_gain(spec, br.iterate, it)
+    assert back < 0.0
+    assert line_search(spec, br.iterate, it, back) == 0.0
 
 
 def test_line_search_stationary_direction_returns_zero():
@@ -259,12 +267,12 @@ def test_line_search_stationary_direction_returns_zero():
     m = stopped_forward_measure(None, m0, P)[0]
     linear = _decoupled_spec(grid, m0)
     it = Iterate.of(linear, m)
-    assert line_search(linear, it, m, evaluate_reward(linear, it.ys)) == 0.0
+    assert line_search(linear, it, it, directional_gain(linear, it, it)) == 0.0
     curved = RewardSpec(
         terms=((FBarFn("exponential", (1.0, 2.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     it = Iterate.of(curved, m)
-    assert line_search(curved, it, m, evaluate_reward(curved, it.ys)) == 0.0
+    assert line_search(curved, it, it, directional_gain(curved, it, it)) == 0.0
 
 
 def test_line_search_rejects_non_concave_objective():
@@ -276,8 +284,8 @@ def test_line_search_rejects_non_concave_objective():
     zero = MeasureFamily.zeros(grid)
     bar = stopped_forward_measure(None, m0, P)[0]
     with pytest.raises(NonConcaveDetected):
-        # the golden section reads no reward grid, and this spec has none
-        line_search(spec, Iterate.of(spec, zero), bar, None)
+        # the golden section reads no gain
+        line_search(spec, Iterate.of(spec, zero), Iterate.of(spec, bar), None)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +312,39 @@ def test_exploitability_vanishes_at_decoupled_best_response():
     spec = _decoupled_spec(grid, m0)
     zero = MeasureFamily.zeros(grid)
     br = best_response(spec, Iterate.of(spec, zero), ctx)
-    assert best_response(spec, Iterate.of(spec, br.family), ctx).exploitability <= 1e-12
+    assert best_response(spec, br.iterate, ctx).exploitability <= 1e-12
 
 
 def test_empty_crowd_is_exploitable_when_stopping_pays():
     grid, model, P, m0, spec, ctx = congestion_instance(J=20, K=20)
     zero = MeasureFamily.zeros(grid)
     assert best_response(spec, Iterate.of(spec, zero), ctx).exploitability > 0.01
+
+
+@pytest.mark.parametrize("game", [
+    lambda: congestion_instance(J=40, K=40)[-2:],
+    lambda: congestion_instance(J=100, K=100)[-2:],
+    lambda: _curved_instance(FBarFn("exponential", (1.0, 2.0)),
+                             ProductField(CoefficientFn.constant(-0.5)), n=20,
+                             sigma_time=CoefficientFn.affine(1.0, 0.5))[-2:],
+], ids=["congestion40", "congestion100", "timedep20"])
+def test_path_exploitability_is_the_grid_pairing_along_fw_iterates(game):
+    # the exploitability read off moment paths against the grid oracle
+    # pair(f, m_tilde) - pair(f, m), at every Frank-Wolfe iterate
+    spec, ctx = game()
+    m = MeasureFamily.zeros(ctx.grid)
+    for _ in range(40):
+        it = Iterate.of(spec, m)
+        br = best_response(spec, it, ctx)
+        f = evaluate_reward(spec, it.ys)
+        oracle = pair(f, br.iterate.family) - pair(f, m)
+        assert abs(br.exploitability - oracle) <= 1e-15
+        assert directional_gain(spec, it, it) == 0.0
+        assert directional_gain(spec, br.iterate, br.iterate) == 0.0
+        if br.exploitability <= 1e-9:
+            break
+        m = convex_combine(m, br.iterate.family,
+                          line_search(spec, it, br.iterate, br.exploitability))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +364,7 @@ def test_fixed_point_decoupled_converges_in_one_iteration():
     assert res.duality_gap <= 1e-12
 
     br = best_response(spec, Iterate.of(spec, res.m_star), ctx)
-    np.testing.assert_array_equal(res.m_star.masses, br.family.masses)
+    np.testing.assert_array_equal(res.m_star.masses, br.iterate.family.masses)
 
 
 def test_fixed_point_reference_congestion_run(congestion_solution):
@@ -387,8 +421,8 @@ def test_fixed_point_budget_exhaustion_returns_best_iterate():
 
 
 def test_fixed_point_budget_exhaustion_recomputes_an_earlier_best_bitwise():
-    # the best iterate keeps no value grid or reward: when it is not the
-    # last one evaluated they are recomputed at exit
+    # the best iterate keeps no value grid or reward: they are recomputed
+    # at exit, here for an iterate earlier than the last one evaluated
     grid, model, P, m0, spec, ctx = congestion_instance(J=30, K=30)
     res = fixed_point_solve(spec, ctx, max_iters=8, eps_tol=1e-13)
     assert not res.converged
@@ -403,8 +437,9 @@ def test_fixed_point_budget_exhaustion_recomputes_an_earlier_best_bitwise():
 
 def test_fixed_point_working_set_stays_under_5_6_grids():
     # a (K+1) x J grid is 8 (K+1) J bytes; the loop holds the iterate,
-    # the best iterate, the response's reward, stop mask and family, and
-    # the push cache, and no full-grid temporary.  The cyclic collector is
+    # the best iterate, the response's reward until its obstacle problem
+    # is solved, its stop mask and family, and the push cache, and no
+    # full-grid temporary.  The cyclic collector is
     # off, so that an array kept alive by a reference cycle counts too.
     grid, model, P, m0, spec, ctx = congestion_instance(J=200, K=200)
     gc.disable()
@@ -462,6 +497,20 @@ def test_equilibrium_complementarity(congestion_solution):
     assert rep.continuation_residual <= 1e-7
 
 
+def _count_calls(monkeypatch, name):
+    """The argument tuples of each call of mfgstop.mfg.<name>, looked up
+    where the loop and the benchmark tracer look it up."""
+    calls = []
+    real = getattr(mfgstop.mfg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mfgstop.mfg, name, counted)
+    return calls
+
+
 def _count_moment_calls(monkeypatch):
     calls = []
     real = mfgstop.reward.moment
@@ -475,17 +524,21 @@ def _count_moment_calls(monkeypatch):
 
 
 def test_fixed_point_computes_each_iterates_moments_once(monkeypatch):
-    # one moment per term for each iterate, plus the final iterate
+    # one moment per term for each iterate and each best response, the
+    # last iterate and its response included; the exit builds none
     grid, model, P, m0, spec, ctx = congestion_instance(J=40, K=40)
     calls = _count_moment_calls(monkeypatch)
+    pairings = _count_calls(monkeypatch, "pair")
     res = fixed_point_solve(spec, ctx, eps_tol=1e-6)
     assert res.converged and res.iterations >= 5
-    assert len(calls) <= (res.iterations + 2) * len(spec.terms)
+    assert len(calls) == (2 * res.iterations + 2) * len(spec.terms)
+    # the loop pairs no grid: the only pairing is the result's pair_value
+    assert len(pairings) == 1
 
 
 def test_golden_section_moments_per_iteration_and_repeatability(monkeypatch):
-    # a non-linear coupling adds the moments of the best response: the
-    # golden section itself runs on moment paths
+    # the golden section of a non-linear coupling runs on the moment
+    # paths of the iterate and the best response, and builds none
     fbar = FBarFn("exponential", (1.0, 2.0))
     h = ProductField(CoefficientFn.constant(-0.5))
     grid, P, m0, spec, ctx = _curved_instance(
@@ -520,12 +573,14 @@ def test_each_family_is_paired_with_h_once(monkeypatch, h_kind):
         return real(*args)
 
     monkeypatch.setattr(mfgstop.reward, "pair", counted)
+    grid_pairings = _count_calls(monkeypatch, "pair")
     res = fixed_point_solve(spec, ctx, max_iters=4, eps_tol=1e-14)
     assert not res.converged and res.iterations == 4
-    # two families per iteration, plus the last iterate, whose
-    # exploitability ends the loop
-    assert len(pairings) == 2 * res.iterations + 1
+    # two families per iteration, plus the last iterate and its best
+    # response, whose exploitability ends the loop
+    assert len(pairings) == 2 * res.iterations + 2
     assert len(calls) == len(pairings) * len(spec.terms)
+    assert len(grid_pairings) == 1
 
 
 def test_fixed_point_refuses_non_finite_exploitability():
@@ -686,6 +741,43 @@ def test_successive_solves_with_different_m0_keep_their_own_pushes(monkeypatch):
     assert not np.array_equal(first.m_star.masses, second.m_star.masses)
 
 
+def _blind(it):
+    """it with NaN masses in place of its family's: only its moment
+    paths and h pairing are left to read."""
+    fam = it.family
+    return Iterate(MeasureFamily(np.full(fam.masses.shape, np.nan), fam.grid, validate=False),
+                   it.ys, it.H)
+
+
+@pytest.mark.parametrize("game", [_zigzag_game, _timedep_game], ids=["congestion", "timedep"])
+def test_loop_pairs_no_grid(monkeypatch, game):
+    # the exploitability is one directional_gain per best response, the
+    # step reads moment paths only, and the one grid pairing of a solve
+    # is its pair_value
+    spec, ctx = game()
+    plain = fixed_point_solve(spec, ctx, max_iters=40, eps_tol=1e-9)
+    moments = _count_moment_calls(monkeypatch)
+    responses = _count_calls(monkeypatch, "best_response")
+    gains = _count_calls(monkeypatch, "directional_gain")
+    pairings = _count_calls(monkeypatch, "pair")
+    real = mfgstop.mfg.line_search
+    steps = []
+
+    def blind_step(spec, it, it_tilde, gain):
+        before = len(moments)
+        rho = real(spec, _blind(it), _blind(it_tilde), gain)
+        assert len(moments) == before  # builds no Iterate
+        steps.append(rho)
+        return rho
+
+    monkeypatch.setattr(mfgstop.mfg, "line_search", blind_step)
+    res = fixed_point_solve(spec, ctx, max_iters=40, eps_tol=1e-9)
+    _assert_same_solve(res, plain)
+    assert len(steps) == res.iterations >= 5
+    assert len(gains) == len(responses) == res.iterations + 1
+    assert len(pairings) == 1
+
+
 _SOLVE_HASHES = """
 import hashlib
 import numpy as np
@@ -703,7 +795,7 @@ ctx = ModelContext(grid=grid, model=model, transition=build_transition_operator(
                    m0=m0)
 r = fixed_point_solve(spec, ctx, max_iters=500, eps_tol=1e-9)
 print(r.iterations, r.value.hex())
-for part in (r.m_star.masses, np.asarray(r.trace.rho)):
+for part in (r.m_star.masses, np.asarray(r.trace.rho), np.asarray(r.trace.exploitability)):
     print(hashlib.sha256(part.tobytes()).hexdigest())
 """
 
@@ -711,8 +803,8 @@ for part in (r.m_star.masses, np.asarray(r.trace.rho)):
 @pytest.mark.skipif(not lapack_is_openblas(), reason="scipy's LAPACK is not OpenBLAS")
 @pytest.mark.skipif(not has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
 def test_solve_does_not_depend_on_the_cpu_kernels():
-    # the congestion game's FW solve: its value, family and step sizes
-    # have the same bits under the CPU's own kernels and under two others.
+    # the congestion game's FW solve: its value, family, step sizes and
+    # exploitabilities have the same bits under the CPU's own kernels and under two others.
     # A BLAS matrix-vector product for line_search's curvature gave other
     # step sizes under the Sandybridge kernels at this size
     seen = run_under_coretypes(_SOLVE_HASHES, (None, "Haswell", "Sandybridge"))

@@ -106,6 +106,12 @@ def test_moment_out_of_range_alarm():
         _f(spec, huge)
     with pytest.raises(MomentOutOfRange):
         _F(spec, huge)
+    # a NaN aggregate is out of every range
+    for bad in (np.nan, np.inf):
+        masses = np.zeros(grid.shape)
+        masses[1, 2] = bad
+        with pytest.raises(MomentOutOfRange):
+            Iterate.of(spec, MeasureFamily(masses, grid=grid, validate=False))
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +189,7 @@ def test_potential_gradient_matches_fd():
     # at the midpoint equals the pairing of f(mid) against m2 - m1
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=23)
     mid = convex_combine(m1, m2, 0.5)
-    gain = 2.0 * directional_gain(_f(spec, mid), mid, m2)
+    gain = 2.0 * directional_gain(spec, Iterate.of(spec, mid), Iterate.of(spec, m2))
     assert abs(gain) > 1e-4
     for eps in (1e-4, 1e-5, 1e-6):
         up = _F(spec, convex_combine(m1, m2, 0.5 + eps))
@@ -208,7 +214,9 @@ def test_potential_concave_along_segments():
 
 def test_gain_zero_direction():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=25)
-    assert directional_gain(_f(spec, m1), m1, m1) == 0.0
+    it = Iterate.of(spec, m1)
+    assert directional_gain(spec, it, it) == 0.0
+    assert directional_gain(spec, it, Iterate.of(spec, m1)) == 0.0
 
 
 def test_gain_decoupled_is_pair_difference():
@@ -221,7 +229,8 @@ def test_gain_decoupled_is_pair_difference():
     m2 = random_admissible_measure(P, m0, rng)
     f = _f(spec, m1)
     want = pair(f, m2) - pair(f, m1)
-    assert directional_gain(f, m1, m2) == pytest.approx(want, abs=1e-14)
+    got = directional_gain(spec, Iterate.of(spec, m1), Iterate.of(spec, m2))
+    assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_gain_matches_fd_at_zero():
@@ -230,7 +239,7 @@ def test_gain_matches_fd_at_zero():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=27)
     base = MeasureFamily(0.5 * m1.masses, grid=grid, validate=False)
     delta = m2.masses - base.masses
-    gain = directional_gain(_f(spec, base), base, m2)
+    gain = directional_gain(spec, Iterate.of(spec, base), Iterate.of(spec, m2))
     assert abs(gain) > 1e-4
     for eps in (1e-4, 1e-5, 1e-6):
         up = _F(spec, MeasureFamily(base.masses + eps * delta, grid=grid,
@@ -244,8 +253,10 @@ def test_gain_matches_fd_at_zero():
 def test_gain_shape_mismatch():
     grid, P, m0, spec, m1, m2 = _two_term_setup(seed=28)
     other = MeasureFamily.zeros(dataclasses.replace(grid, K=grid.K + 1))
+    # an unvalidated spec builds an Iterate on any grid
+    elsewhere = Iterate.of(RewardSpec(terms=spec.terms), other)
     with pytest.raises(ShapeMismatch):
-        directional_gain(_f(spec, m1), m1, other)
+        directional_gain(spec, Iterate.of(spec, m1), elsewhere)
 
 
 # ----------------------------------------------------------------------
