@@ -804,7 +804,8 @@ for part in (r.m_star.masses, np.asarray(r.trace.rho), np.asarray(r.trace.exploi
 @pytest.mark.skipif(not has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
 def test_solve_does_not_depend_on_the_cpu_kernels():
     # the congestion game's FW solve: its value, family, step sizes and
-    # exploitabilities have the same bits under the CPU's own kernels and under two others.
+    # exploitabilities have the same bits under the CPU's own kernels and
+    # under two others.
     # A BLAS matrix-vector product for line_search's curvature gave other
     # step sizes under the Sandybridge kernels at this size
     seen = run_under_coretypes(_SOLVE_HASHES, (None, "Haswell", "Sandybridge"))
