@@ -338,11 +338,16 @@ class Tridiagonal:
         return a
 
     def row_sums(self) -> np.ndarray:
-        s = self.diag.copy()
-        if self.n > 1:
-            s[1:] += self.lower
-            s[:-1] += self.upper
-        return s
+        return _band_row_sums(self.lower, self.diag, self.upper)
+
+
+def _band_row_sums(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Row sums of a tridiagonal matrix from its bands, or of each matrix
+    of a stack of them along axis 0."""
+    s = diag.copy()
+    s[..., 1:] += lower
+    s[..., :-1] += upper
+    return s
 
 
 def discretize_generator(model: DiffusionModel, grid: SpaceTimeGrid, k: int) -> Tridiagonal:
@@ -352,31 +357,76 @@ def discretize_generator(model: DiffusionModel, grid: SpaceTimeGrid, k: int) -> 
     uses the one-sided difference pointing in the direction of mu, which
     keeps off-diagonal entries nonnegative.  Rows adjacent to the domain
     boundary simply drop the off-grid neighbor (Dirichlet absorption), so
-    every row sum is <= 0 and strictly negative in those rows.
+    every row sum is <= 0 and strictly negative in those rows.  This is
+    the one-row case of _generator_rows.
     """
     if not (0 <= k <= grid.K):
         raise ValidationError(f"time index {k} outside 0..{grid.K}")
+    lower, diag, upper = _generator_rows(model, grid, np.array([k]))
+    return Tridiagonal(lower=lower[0], diag=diag[0], upper=upper[0])
+
+
+def _generator_rows(model: DiffusionModel, grid: SpaceTimeGrid, ks: np.ndarray):
+    """Bands (lower, diag, upper) of discretize_generator at each time
+    index in ks, one row per index: shapes (r, J-1), (r, J), (r, J-1).
+
+    sigma and mu are evaluated once for all rows; time(t) * space(x)
+    rounds as it does at a single t, so each row has the bits of its own
+    discretize_generator call.
+    """
+    t = grid.t[ks]
     x, dx = grid.x, grid.dx
-    tk = grid.t[k]
-    mu = np.asarray(model.mu(tk, x), dtype=float)
-    sig = np.asarray(model.sigma(tk, x), dtype=float)
-    if np.any(sig < model.sigma_min):
+    shape = (len(t), grid.J)
+    mu = np.broadcast_to(np.asarray(model.mu(t[:, None], x), dtype=float), shape)
+    sig = np.broadcast_to(np.asarray(model.sigma(t[:, None], x), dtype=float), shape)
+    low = np.any(sig < model.sigma_min, axis=1)
+    if low.any():
         raise EllipticityViolation(
-            f"sigma below sigma_min={model.sigma_min} at t={tk}"
+            f"sigma below sigma_min={model.sigma_min} at t={t[low.argmax()]}"
         )
     diff = sig * sig / (2.0 * dx * dx)
     up = np.maximum(mu, 0.0) / dx
     down = np.maximum(-mu, 0.0) / dx
     diag = -2.0 * diff - up - down
-    lower = diff[1:] + down[1:]
-    upper = diff[:-1] + up[:-1]
-    return Tridiagonal(lower=lower, diag=diag, upper=upper)
+    return diff[:, 1:] + down[:, 1:], diag, diff[:, :-1] + up[:, :-1]
 
 
 # ----------------------------------------------------------------------
 # transition operator
 
 _ROWSUM_TOL = 1e-12
+# Elements per block of time rows when an operator's slices are built
+# together; larger blocks build faster but raise the build's peak memory.
+_BUILD_BLOCK = 1 << 12
+
+
+def _step_bands(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float):
+    """Certify A from its bands and return (lower, diag, upper, symmetric)
+    of M = I - dt*A, where symmetric says A.lower equals A.upper.
+
+    The bands hold one generator, or one per row of a stack along axis 0.
+    Every row must have off-diagonals >= 0 and 1 - dt*rowsum(A) > 0, each
+    comparison failing on NaN (see TransitionSlice); the first row that
+    does not raises ValidationError, with the off-diagonal test first.
+    """
+    off = np.all(lower >= 0.0, axis=-1) & np.all(upper >= 0.0, axis=-1)
+    pos = np.all(1.0 - dt * _band_row_sums(lower, diag, upper) > 0.0, axis=-1)
+    ok = np.ravel(off & pos)
+    if not ok.all():
+        if not np.ravel(off)[ok.argmin()]:
+            raise ValidationError(
+                "generator has a negative or NaN off-diagonal; "
+                "A is not a valid absorbing generator")
+        raise ValidationError(
+            "I - dt*A has a row sum that is not positive; "
+            "A is not a valid absorbing generator")
+    return (-dt * lower, 1.0 - dt * diag, -dt * upper,
+            np.all(lower == upper, axis=-1))
+
+
+def _lapack(dtype) -> list:
+    """pttrf, pttrs, gttrf, gttrs for M's dtype."""
+    return get_lapack_funcs(("pttrf", "pttrs", "gttrf", "gttrs"), dtype=dtype)
 
 
 class TransitionSlice:
@@ -400,39 +450,42 @@ class TransitionSlice:
     (pttrf/pttrs) factors it, P is symmetric and apply_adjoint runs the
     same solve as apply.  Any other A takes the LU factorization
     (gttrf/gttrs).  n <= 2 has closed forms.
+
+    The certificate and M's bands come from _step_bands, which also
+    certifies a stack of generators in one pass; build_transition_operator
+    builds a time-dependent operator's slices that way, a block of time
+    steps at a time, and factors each row as this constructor factors
+    its one row, so each slice has the same bits either way.
     """
 
     def __init__(self, A: Tridiagonal, dt: float):
         if not dt > 0:
             raise ValidationError(f"dt must be positive, got {dt}")
-        self.n = A.n
-        if not (np.all(A.lower >= 0.0) and np.all(A.upper >= 0.0)):
-            raise ValidationError(
-                "generator has a negative or NaN off-diagonal; "
-                "A is not a valid absorbing generator")
-        if not np.all(1.0 - dt * A.row_sums() > 0.0):
-            raise ValidationError(
-                "I - dt*A has a row sum that is not positive; "
-                "A is not a valid absorbing generator")
-        # bands of M = I - dt*A; only the closed forms of n <= 2 keep them,
-        # LAPACK's factors replace them otherwise
-        m_lower = -dt * A.lower
-        m_diag = 1.0 - dt * A.diag
-        m_upper = -dt * A.upper
+        m_lower, m_diag, m_upper, symmetric = _step_bands(A.lower, A.diag, A.upper, dt)
+        self._factorize(m_lower, m_diag, m_upper, symmetric, _lapack(m_diag.dtype))
+
+    def _factorize(self, m_lower, m_diag, m_upper, symmetric, lapack) -> None:
+        """Factor M from its certified bands and hold P 1 <= 1 + _ROWSUM_TOL."""
+        self.n = len(m_diag)
         if self.n <= 2:
-            self._m_lower, self._m_diag, self._m_upper = m_lower, m_diag, m_upper
+            # only the closed forms keep M's bands; copies, so that a row
+            # of a block does not keep the block alive
+            self._m_lower, self._m_diag, self._m_upper = (
+                np.array(m_lower), np.array(m_diag), np.array(m_upper))
         if self.n == 2:
             # LAPACK's gttrf wrapper rejects n=2; Cramer is exact here
             self._det = m_diag[0] * m_diag[1] - m_upper[0] * m_lower[0]
             if self._det == 0.0:
                 raise SingularSystem("2x2 step matrix is singular")
         elif self.n > 2:
-            self._symmetric = bool(np.array_equal(A.lower, A.upper))
+            pttrf, pttrs, gttrf, gttrs = lapack
+            self._symmetric = bool(symmetric)
+            # the wrappers copy their inputs, so the factors own their memory
             if self._symmetric:
-                pttrf, self._trs = get_lapack_funcs(("pttrf", "pttrs"), (m_diag,))
+                self._trs = pttrs
                 *self._factor, info = pttrf(m_diag, m_lower)
             else:
-                gttrf, self._trs = get_lapack_funcs(("gttrf", "gttrs"), (m_diag,))
+                self._trs = gttrs
                 *self._factor, info = gttrf(m_lower, m_diag, m_upper)
             if info != 0:
                 raise SingularSystem(f"tridiagonal factorization failed (info={info})")
@@ -567,15 +620,51 @@ class TransitionOperator:
 def build_transition_operator(model: DiffusionModel, grid: SpaceTimeGrid) -> TransitionOperator:
     """Assemble all per-step transitions for a model on a grid.
 
-    Coefficients are sampled at the left endpoint t_k of each step.
+    Coefficients are sampled at the left endpoint t_k of each step.  A
+    time-homogeneous model has one slice, shared by every step.  A
+    time-dependent model has one slice per step, built by
+    _generator_slices a block of steps at a time; each is bit for bit
+    TransitionSlice(discretize_generator(model, grid, k), grid.dt).
     """
     model.validate_on_grid(grid)
     dt = grid.dt
     if model.time_constant:
         return TransitionOperator(
             [TransitionSlice(discretize_generator(model, grid, 0), dt)] * grid.K, grid)
-    return TransitionOperator([TransitionSlice(discretize_generator(model, grid, k), dt)
-                               for k in range(grid.K)], grid)
+    return TransitionOperator(_generator_slices(model, grid, np.arange(grid.K), dt), grid)
+
+
+def _generator_slices(model: DiffusionModel, grid: SpaceTimeGrid, ks: np.ndarray,
+                      dt: float) -> list[TransitionSlice]:
+    """TransitionSlice(discretize_generator(model, grid, k), dt) for each k
+    in ks, with the same bits and errors, built a block at a time.
+
+    A block is a run of ks of at most _BUILD_BLOCK elements (one row if
+    J is larger).  Its bands and certificate are one numpy pass each;
+    then each row is factored with LAPACK functions looked up once, and
+    each slice checks its own P 1 through row_sums(), as the constructor
+    does.  A block with a bad row raises that row's error.
+    """
+    if not dt > 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    rows = max(1, _BUILD_BLOCK // grid.J)
+    lapack = _lapack(np.float64)  # _generator_rows' bands are float64
+    slices = []
+    for r0 in range(0, len(ks), rows):
+        slices += _block_slices(model, grid, ks[r0:r0 + rows], dt, lapack)
+    return slices
+
+
+def _block_slices(model, grid, ks, dt, lapack) -> list[TransitionSlice]:
+    """The slices of one block of _generator_slices; its band arrays die
+    on return, before the next block's are made."""
+    m_lower, m_diag, m_upper, symmetric = _step_bands(*_generator_rows(model, grid, ks), dt)
+    slices = []
+    for i in range(len(ks)):
+        s = TransitionSlice.__new__(TransitionSlice)
+        s._factorize(m_lower[i], m_diag[i], m_upper[i], symmetric[i], lapack)
+        slices.append(s)
+    return slices
 
 
 # ----------------------------------------------------------------------

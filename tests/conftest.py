@@ -5,6 +5,7 @@ reproducible; the helpers return plain tuples instead of fixtures where
 tests need many independent draws.
 """
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -100,6 +101,25 @@ def has_avx2():
 def constant_model(mu=0.0, sigma=0.5):
     return DiffusionModel(mu=ProductField(CoefficientFn.constant(mu)),
                           sigma=ProductField(CoefficientFn.constant(sigma)))
+
+
+def slice_digest(slices):
+    """sha256 over every slice's factors and its row_sums(), in order.
+
+    The factors are LAPACK's (pttrf's d, e or gttrf's four bands and
+    pivots) for n > 2 and the bands of I - dt*A for n <= 2; two lists of
+    slices with one digest factor and solve with the same bits.
+    """
+    h = hashlib.sha256()
+    for s in slices:
+        if s.n > 2:
+            parts = [np.array(s._symmetric), *s._factor]
+        else:
+            parts = [s._m_lower, s._m_diag, s._m_upper]
+        for a in (*parts, s.row_sums()):
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def make_instance(T=1.0, a=0.0, b=1.0, K=8, J=6, mu=0.0, sigma=0.5):

@@ -29,12 +29,15 @@ from mfgstop import (
     discretize_generator,
     fold_reward,
 )
+from mfgstop import model_core
+from mfgstop.model_core import _generator_slices, _step_bands
 from conftest import (
     constant_model,
     has_avx2,
     lapack_is_openblas,
     random_instance,
     run_under_coretypes,
+    slice_digest,
     src_env,
 )
 
@@ -510,6 +513,137 @@ def test_slice_rejects_non_positive_step_row_sum():
     # a source strong enough that I - dt*A loses its positive row sums
     with pytest.raises(ValidationError, match="row sum"):
         TransitionSlice(_bands(4, 0.5, 20.0, 0.5), 0.1)
+
+
+def _field(space, time=None):
+    return ProductField(space, time=time)
+
+
+_C = CoefficientFn
+# time-dependent models for the batched build: each names the solves its
+# slices take; "mixed" slices take both
+BATCHED_MODELS = {
+    "zero_drift": ("ldlt", DiffusionModel(
+        mu=_field(_C.constant(0.0)), sigma=_field(_C.constant(0.4), _C.affine(1.0, 0.5)))),
+    "drift": ("lu", DiffusionModel(
+        mu=_field(_C.constant(0.3)), sigma=_field(_C.constant(0.4), _C.affine(1.0, 0.5)))),
+    # the drift's time factor is exactly 0 at t_5 = 0.5
+    "drift_crosses_zero": ("mixed", DiffusionModel(
+        mu=_field(_C.constant(0.6), _C.affine(-0.5, 1.0)), sigma=_field(_C.constant(0.4)))),
+    "gaussian_sigma": ("ldlt", DiffusionModel(
+        mu=_field(_C.constant(0.0)),
+        sigma=_field(_C.constant(0.4), _C.gaussian_bump(1.0, 0.5, 0.4)))),
+    # zero drift outside the bump
+    "cosine_drift": ("mixed", DiffusionModel(
+        mu=_field(_C.constant(-0.3), _C.cosine_bump(1.0, 0.5, 0.25)),
+        sigma=_field(_C.constant(0.4)))),
+    "tabulated_sigma": ("ldlt", DiffusionModel(
+        mu=_field(_C.constant(0.0)),
+        sigma=_field(_C.constant(0.4), _C.tabulated([0.0, 0.45, 1.0], [1.0, 1.7, 0.6])))),
+    "x_dependent_sigma": ("lu", DiffusionModel(
+        mu=_field(_C.constant(0.0)),
+        sigma=_field(_C.affine(0.3, 0.2), _C.affine(1.0, 0.5)))),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default_block", "small_block"])
+@pytest.mark.parametrize("J", [2, 3, 17])
+@pytest.mark.parametrize("name", list(BATCHED_MODELS))
+def test_batched_build_matches_each_slice(monkeypatch, name, J, block):
+    # a block of 7 elements holds 3, 2 or 1 rows at J = 2, 3, 17, so the
+    # 10 steps end in a partial block
+    if block is not None:
+        monkeypatch.setattr(model_core, "_BUILD_BLOCK", block)
+    solves, model = BATCHED_MODELS[name]
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=10, J=J)
+    P = build_transition_operator(model, grid)
+    each = [TransitionSlice(discretize_generator(model, grid, k), grid.dt)
+            for k in range(grid.K)]
+    assert P.steps == P.slices and len(P.slices) == grid.K
+    assert slice_digest(P.slices) == slice_digest(each)
+    if J > 2:
+        kinds = {"ldlt" if s._symmetric else "lu" for s in P.slices}
+        assert kinds == ({"ldlt", "lu"} if solves == "mixed" else {solves})
+
+
+@pytest.mark.parametrize("fault", ["lower", "upper", "diag_nan", "row_sum", "two_rows"])
+def test_block_with_a_bad_row_raises_as_its_slice_does(fault):
+    # row 2 of a stack of 4 generators is bad; the stack must raise the
+    # error TransitionSlice raises on that row alone.  With "two_rows",
+    # row 1 has a bad row sum and row 2 a negative off-diagonal: the
+    # first bad row decides, as in a loop over the slices
+    n, dt = 5, 0.1
+    lower = np.full((4, n - 1), 0.5)
+    diag = np.full((4, n), -1.0)
+    upper = np.full((4, n - 1), 0.5)
+    if fault == "lower":
+        lower[2, 1] = -0.1
+    elif fault == "upper":
+        upper[2, 3] = -0.1
+    elif fault == "diag_nan":
+        diag[2, 0] = np.nan
+    else:
+        diag[2 if fault == "row_sum" else 1] = 20.0
+        if fault == "two_rows":
+            lower[2, 0] = -0.1
+    bad = 2 if fault != "two_rows" else 1
+    with pytest.raises(ValidationError) as want:
+        TransitionSlice(Tridiagonal(lower=lower[bad], diag=diag[bad], upper=upper[bad]), dt)
+    with pytest.raises(type(want.value)) as got:
+        _step_bands(lower, diag, upper, dt)
+    assert str(got.value) == str(want.value)
+
+
+def test_batched_build_raises_as_the_slice_loop_does():
+    # sigma = 1e200 at t_5 alone passes validate_on_grid but overflows
+    # the generator at step 5 into a NaN row sum
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=8, J=6)
+    model = DiffusionModel(
+        mu=_field(_C.constant(0.0)),
+        sigma=_field(_C.constant(0.4), _C.tabulated([0.0, 0.5, 0.625, 0.75, 1.0],
+                                                     [1.0, 1.0, 1e200, 1.0, 1.0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError) as want:
+            for k in range(grid.K):
+                TransitionSlice(discretize_generator(model, grid, k), grid.dt)
+        with pytest.raises(type(want.value)) as got:
+            build_transition_operator(model, grid)
+    assert "row sum that is not positive" in str(got.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_batched_build_raises_ellipticity_at_the_first_bad_time():
+    # validate_on_grid rejects this model before any slice is built; the
+    # block builder on its own names the same time discretize_generator does
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=8, J=6)
+    model = DiffusionModel(
+        mu=_field(_C.constant(0.0)),
+        sigma=_field(_C.constant(0.4), _C.tabulated([0.0, 0.5, 0.625, 0.75, 1.0],
+                                                     [1.0, 1.0, 0.0, 0.0, 1.0])))
+    with pytest.raises(EllipticityViolation) as want:
+        discretize_generator(model, grid, 5)
+    with pytest.raises(EllipticityViolation) as got:
+        _generator_slices(model, grid, np.arange(grid.K), grid.dt)
+    assert str(got.value) == str(want.value)
+    assert "t=0.625" in str(got.value)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3], ids=["ldlt", "lu"])
+def test_batched_build_transient_memory(mu):
+    # above the slices it keeps, the build holds one block's band arrays
+    # (about 3,900 doubles each at J=300): 185 KiB (LDL^T) and 99 KiB
+    # (LU) measured, where building all K generators at once would take
+    # several K x J grids (700 KiB each)
+    K = J = 300
+    _time_dependent_operator(K, J, mu=mu)
+    tracemalloc.start()
+    try:
+        P = _time_dependent_operator(K, J, mu=mu)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(P.slices) == K
+    assert peak - retained <= 8 * model_core._BUILD_BLOCK * 8
 
 
 def test_time_dependent_build_keeps_no_dense_inverses():
