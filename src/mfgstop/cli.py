@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     ConfigParseError,
     MfgStopError,
+    MomentOutOfRange,
     SolverError,
     ValidationError,
     VerificationFailure,
@@ -50,9 +51,9 @@ from .model_core import (
     SpaceTimeGrid,
     TransitionOperator,
     TransitionSlice,
+    _generator_slices,
     build_grid,
     build_transition_operator,
-    discretize_generator,
     fold_reward,
 )
 from .montecarlo import simulate_paths
@@ -405,6 +406,16 @@ def _reward_and_value(inst: Instance, crowd: MeasureFamily):
     return f_grid, solve_vi(f_grid, inst.transition)
 
 
+def _read_crowd_reward_and_value(inst: Instance, crowd: MeasureFamily):
+    """_reward_and_value for verify and mc-check, whose crowd may come
+    from measure.csv: moments out of the reward's range there are a
+    corrupted artifact, so they fail verification (exit 5)."""
+    try:
+        return _reward_and_value(inst, crowd)
+    except MomentOutOfRange as exc:
+        raise VerificationFailure(f"measure CSV: {exc}") from exc
+
+
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
     f_grid, v = _reward_and_value(inst, inst.zero_family())
     family, ledger = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
@@ -504,7 +515,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     suite.check("admissibility", bool(rep),
                 f"worst violation {rep.worst_violation:.3e} [{rep.kind}]")
 
-    f_grid, v = _reward_and_value(inst, family if is_mfg else inst.zero_family())
+    f_grid, v = _read_crowd_reward_and_value(inst, family if is_mfg else inst.zero_family())
     value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(f_grid, family))
     gap_tol = (inst.eps_tol if is_mfg else 0.0) + 1e-10 * (1.0 + abs(value))
@@ -563,17 +574,17 @@ MC_SUBSTEPS = 16
 
 
 class _SubsteppedSlice:
-    """Step k of length dt as MC_SUBSTEPS implicit substeps of its generator.
+    """Step k of length dt as MC_SUBSTEPS implicit substeps: `step` is
+    the slice of step k's generator at dt / MC_SUBSTEPS.
 
     Every substep's push is clamped at 0, as stopped_forward_measure
     clamps each step.  Sigma and mu stay frozen at t_k over step k, as
     the simulator freezes them.
     """
 
-    def __init__(self, model: DiffusionModel, grid: SpaceTimeGrid, k: int):
-        A = discretize_generator(model, grid, k)
-        self.n = A.n
-        self._step = TransitionSlice(A, grid.dt / MC_SUBSTEPS)
+    def __init__(self, step: TransitionSlice):
+        self.n = step.n
+        self._step = step
 
     def apply_adjoint(self, m: np.ndarray) -> np.ndarray:
         for _ in range(MC_SUBSTEPS):
@@ -585,13 +596,15 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
     grid = inst.grid
     is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
     crowd = _read_family(inst, out_dir) if is_mfg else inst.zero_family()
-    _, v = _reward_and_value(inst, crowd)
+    _, v = _read_crowd_reward_and_value(inst, crowd)
     # v's stop rule acts at slice boundaries only; steps share substep
     # slices where they share a slice, built at the first step using it
-    substepped = {}
+    first = {}
     for k, step in enumerate(inst.transition.steps):
-        if step not in substepped:
-            substepped[step] = _SubsteppedSlice(inst.model, grid, k)
+        first.setdefault(step, k)
+    fine_steps = _generator_slices(inst.model, grid, np.array(list(first.values())),
+                                   grid.dt / MC_SUBSTEPS)
+    substepped = {step: _SubsteppedSlice(fine) for step, fine in zip(first, fine_steps)}
     fine = TransitionOperator([substepped[step] for step in inst.transition.steps], grid)
     exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine)[0].slice_totals()
 

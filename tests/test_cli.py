@@ -344,10 +344,11 @@ def test_malformed_measure_csv_fails_verification(stop_now_game, tmp_path, case)
         assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
 
 
-@pytest.mark.parametrize("mass", ["nan", "inf"])
+@pytest.mark.parametrize("mass", ["nan", "inf", "1e6", "-1e6"])
 def test_non_finite_mass_fails_verification(decoupled_artifacts, tmp_path, mass):
     # a corrupted artifact is a verification failure (exit 5), not a
-    # solver failure in the reward or value function it would feed
+    # solver failure in the reward or value function it would feed, nor
+    # (for a finite mass far out of range) the reward's moment bound
     cfg, out = decoupled_artifacts
     bad = tmp_path / "out"
     bad.mkdir()
