@@ -125,13 +125,15 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
     bridge = np.random.Philox(key=seed).jumped()
     bridge_base = bridge.state
 
+    rows = np.empty((min(DRAW_ROWS, n_paths), K))  # the producer's draw buffer
+
     def draw(p0: int, buf: np.ndarray) -> np.ndarray:
         """Fill buf with the block at p0's step-major (K, C) increments."""
         C = min(BLOCK, n_paths - p0)
         noise = buf[:K * C].reshape(K, C)
         for r0 in range(0, C, DRAW_ROWS):
             r1 = min(r0 + DRAW_ROWS, C)
-            noise[:, r0:r1] = rng.standard_normal((r1 - r0, K)).T
+            noise[:, r0:r1] = rng.standard_normal(out=rows[:r1 - r0]).T
         return noise
 
     def uniforms(p0: int, k: int, cols: np.ndarray) -> np.ndarray:
@@ -139,6 +141,10 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
         _seek(bridge, bridge_base, k * n_paths + p0)
         return (bridge.random_raw(cols[-1] + 1)[cols] >> 11) * 2.0 ** -53
 
+    # a live path has a < x < b, so rint((x - a) / dx) lies in [0, J + 1]:
+    # padding the stop rule with a copy of its edge columns stands in
+    # for clamping the index to the interior nodes
+    stop = None if v is None else np.pad(v.stop_mask, ((0, 0), (1, 1)), mode="edge")
     tallies = np.zeros((K + 1, J))
     stopped = 0
     survived = 0
@@ -151,7 +157,7 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
                 # block i - 1 has finished stepping on this buffer
                 pending = pool.submit(draw, p0 + BLOCK, buffers[(i + 1) % 2])
             x = grid.x[start_nodes[p0:p0 + BLOCK]]
-            n_stop, n_surv = _step_block(model, grid, v, x, noise,
+            n_stop, n_surv = _step_block(model, grid, stop, x, noise,
                                          lambda k, cols: uniforms(p0, k, cols), tallies)
             stopped += n_stop
             survived += n_surv
@@ -164,23 +170,23 @@ def simulate_paths(model: DiffusionModel, grid: SpaceTimeGrid,
 
 
 def _step_block(model: DiffusionModel, grid: SpaceTimeGrid,
-                v: ValueFunction | None, x: np.ndarray, noise: np.ndarray,
+                stop: np.ndarray | None, x: np.ndarray, noise: np.ndarray,
                 uniforms, tallies: np.ndarray) -> tuple[int, int]:
     """Run one block of paths from their start states x through all steps.
 
-    noise holds the block's (K, C) step-major increments, uniforms(k, cols)
-    the bridge uniforms of its paths cols at step k.  Adds the block's
-    node counts to tallies and returns (stopped, survived).
+    stop is the stop rule padded with its edge columns, (K+1, J+2), or
+    None for no stopping; noise holds the block's (K, C) step-major
+    increments, uniforms(k, cols) the bridge uniforms of its paths cols
+    at step k.  Adds the block's node counts to tallies and returns
+    (stopped, survived).
     """
     K, J = grid.K, grid.J
     a, b, dt, dx = grid.a, grid.b, grid.dt, grid.dx
     sq = np.sqrt(dt)
     near_dt = 20.0 * dt
     sigma, mu = model.sigma, model.mu
-    # a live path has a < x < b, so rint((x - a) / dx) lies in [0, J + 1]:
-    # padding the stop rule and the counts with a copy of their edge
-    # columns stands in for clamping the index to the interior nodes
-    stop = None if v is None else np.pad(v.stop_mask, ((0, 0), (1, 1)), mode="edge")
+    # the node index lies in [0, J + 1] (see simulate_paths); the counts'
+    # edge columns are folded into the interior ones at the end
     counts = np.zeros((K + 1, J + 2), dtype=np.intp)
     ids = np.arange(len(x))  # the block's paths still in the game
     stopped = 0
