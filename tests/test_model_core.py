@@ -515,34 +515,34 @@ def test_slice_rejects_non_positive_step_row_sum():
         TransitionSlice(_bands(4, 0.5, 20.0, 0.5), 0.1)
 
 
-def _field(space, time=None):
-    return ProductField(space, time=time)
-
-
 _C = CoefficientFn
 # time-dependent models for the batched build: each names the solves its
 # slices take; "mixed" slices take both
 BATCHED_MODELS = {
     "zero_drift": ("ldlt", DiffusionModel(
-        mu=_field(_C.constant(0.0)), sigma=_field(_C.constant(0.4), _C.affine(1.0, 0.5)))),
+        mu=ProductField(_C.constant(0.0)),
+        sigma=ProductField(_C.constant(0.4), _C.affine(1.0, 0.5)))),
     "drift": ("lu", DiffusionModel(
-        mu=_field(_C.constant(0.3)), sigma=_field(_C.constant(0.4), _C.affine(1.0, 0.5)))),
+        mu=ProductField(_C.constant(0.3)),
+        sigma=ProductField(_C.constant(0.4), _C.affine(1.0, 0.5)))),
     # the drift's time factor is exactly 0 at t_5 = 0.5
     "drift_crosses_zero": ("mixed", DiffusionModel(
-        mu=_field(_C.constant(0.6), _C.affine(-0.5, 1.0)), sigma=_field(_C.constant(0.4)))),
+        mu=ProductField(_C.constant(0.6), _C.affine(-0.5, 1.0)),
+        sigma=ProductField(_C.constant(0.4)))),
     "gaussian_sigma": ("ldlt", DiffusionModel(
-        mu=_field(_C.constant(0.0)),
-        sigma=_field(_C.constant(0.4), _C.gaussian_bump(1.0, 0.5, 0.4)))),
+        mu=ProductField(_C.constant(0.0)),
+        sigma=ProductField(_C.constant(0.4), _C.gaussian_bump(1.0, 0.5, 0.4)))),
     # zero drift outside the bump
     "cosine_drift": ("mixed", DiffusionModel(
-        mu=_field(_C.constant(-0.3), _C.cosine_bump(1.0, 0.5, 0.25)),
-        sigma=_field(_C.constant(0.4)))),
+        mu=ProductField(_C.constant(-0.3), _C.cosine_bump(1.0, 0.5, 0.25)),
+        sigma=ProductField(_C.constant(0.4)))),
     "tabulated_sigma": ("ldlt", DiffusionModel(
-        mu=_field(_C.constant(0.0)),
-        sigma=_field(_C.constant(0.4), _C.tabulated([0.0, 0.45, 1.0], [1.0, 1.7, 0.6])))),
+        mu=ProductField(_C.constant(0.0)),
+        sigma=ProductField(_C.constant(0.4),
+                           _C.tabulated([0.0, 0.45, 1.0], [1.0, 1.7, 0.6])))),
     "x_dependent_sigma": ("lu", DiffusionModel(
-        mu=_field(_C.constant(0.0)),
-        sigma=_field(_C.affine(0.3, 0.2), _C.affine(1.0, 0.5)))),
+        mu=ProductField(_C.constant(0.0)),
+        sigma=ProductField(_C.affine(0.3, 0.2), _C.affine(1.0, 0.5)))),
 }
 
 
@@ -599,9 +599,9 @@ def test_batched_build_raises_as_the_slice_loop_does():
     # the generator at step 5 into a NaN row sum
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=8, J=6)
     model = DiffusionModel(
-        mu=_field(_C.constant(0.0)),
-        sigma=_field(_C.constant(0.4), _C.tabulated([0.0, 0.5, 0.625, 0.75, 1.0],
-                                                     [1.0, 1.0, 1e200, 1.0, 1.0])))
+        mu=ProductField(_C.constant(0.0)),
+        sigma=ProductField(_C.constant(0.4), _C.tabulated([0.0, 0.5, 0.625, 0.75, 1.0],
+                                                          [1.0, 1.0, 1e200, 1.0, 1.0])))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError) as want:
             for k in range(grid.K):
@@ -617,9 +617,9 @@ def test_batched_build_raises_ellipticity_at_the_first_bad_time():
     # block builder on its own names the same time discretize_generator does
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=8, J=6)
     model = DiffusionModel(
-        mu=_field(_C.constant(0.0)),
-        sigma=_field(_C.constant(0.4), _C.tabulated([0.0, 0.5, 0.625, 0.75, 1.0],
-                                                     [1.0, 1.0, 0.0, 0.0, 1.0])))
+        mu=ProductField(_C.constant(0.0)),
+        sigma=ProductField(_C.constant(0.4), _C.tabulated([0.0, 0.5, 0.625, 0.75, 1.0],
+                                                          [1.0, 1.0, 0.0, 0.0, 1.0])))
     with pytest.raises(EllipticityViolation) as want:
         discretize_generator(model, grid, 5)
     with pytest.raises(EllipticityViolation) as got:
