@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -266,6 +266,12 @@ class ProductField:
         """Evaluate on every (t_k, x_j) node, shape (K+1, J)."""
         return np.outer(self.time_factor(grid.t), self.space(grid.x))
 
+    def corners(self, grid: SpaceTimeGrid) -> np.ndarray:
+        """on_grid's products of the least and largest time and space
+        factors, shape (2, 2); see DiffusionModel.validate_on_grid."""
+        a, s = self.time_factor(grid.t), self.space(grid.x)
+        return np.outer([a.min(), a.max()], [s.min(), s.max()])
+
     def dt_on_grid(self, grid: SpaceTimeGrid) -> np.ndarray:
         if self.time is None:
             return np.zeros(grid.shape)
@@ -298,16 +304,28 @@ class DiffusionModel:
         return self.mu.time_constant and self.sigma.time_constant
 
     def validate_on_grid(self, grid: SpaceTimeGrid) -> None:
-        sig = self.sigma.on_grid(grid)
+        """Check sigma and mu on_grid from their factors, in O(K + J).
+
+        A field's grid holds fl(a_k * s_j) for its time factors a and space
+        factors s.  The exact products over [a_min, a_max] x [s_min, s_max]
+        reach their least value and largest magnitude at the corners, which
+        are nodes, and rounding is monotone (x <= y gives fl(x) <= fl(y);
+        Higham, Accuracy and Stability of Numerical Algorithms, sec. 2.1).
+        So the grid's minimum is the least of the four corners, and the
+        grid is all finite exactly when they are: min and max carry a NaN
+        or inf factor into a corner, and inf * 0 is NaN.  Verdicts and
+        messages are the grid's; a zero minimum that the grid holds as both
+        +0 and -0 may print with either sign, as np.min on the grid may.
+        """
+        sig = self.sigma.corners(grid)
         if not np.all(np.isfinite(sig)):
             raise ValidationError("sigma is not finite on the grid")
-        if np.any(sig < self.sigma_min):
+        if sig.min() < self.sigma_min:
             raise EllipticityViolation(
                 f"sigma drops below sigma_min={self.sigma_min} on the grid "
                 f"(min={sig.min():.3g})"
             )
-        mu = self.mu.on_grid(grid)
-        if not np.all(np.isfinite(mu)):
+        if not np.all(np.isfinite(self.mu.corners(grid))):
             raise ValidationError("mu is not finite on the grid")
 
 
@@ -577,11 +595,12 @@ class TransitionOperator:
         # (slice, a block of a run of steps using it); every block is a
         # slice of consecutive steps, so rows[steps] is a view
         self._blocks = []
+        runs = cache(lambda n: _row_blocks(n, grid.J))  # one list per run length
         start = 0
         for k in range(1, grid.K + 1):
             if k == grid.K or self.steps[k] is not self.steps[start]:
                 self._blocks += [(self.steps[start], slice(start + b.start, start + b.stop))
-                                 for b in _row_blocks(k - start, grid.J)]
+                                 for b in runs(k - start)]
                 start = k
 
     @property

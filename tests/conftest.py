@@ -122,6 +122,21 @@ def slice_digest(slices):
     return h.hexdigest()
 
 
+def operator_digest(P):
+    """sha256 over slice_digest(P.steps) and P._blocks' layout: each
+    block's run of steps and the index in P.slices of its slice.
+
+    Two operators with one digest factor every step with the same bits,
+    share slices across the same steps and push in the same blocks, so
+    their whole-family pushes give the same bits too.
+    """
+    h = hashlib.sha256(slice_digest(P.steps).encode())
+    index = {id(s): i for i, s in enumerate(P.slices)}
+    for s, steps in P._blocks:
+        h.update(f"{index[id(s)]}:{steps.start}:{steps.stop};".encode())
+    return h.hexdigest()
+
+
 def make_instance(T=1.0, a=0.0, b=1.0, K=8, J=6, mu=0.0, sigma=0.5):
     grid = build_grid(T=T, a=a, b=b, K=K, J=J)
     model = constant_model(mu, sigma)

@@ -30,14 +30,14 @@ from mfgstop import (
     fold_reward,
 )
 from mfgstop import model_core
-from mfgstop.model_core import _generator_slices, _step_bands
+from mfgstop.model_core import _generator_slices, _row_blocks, _step_bands
 from conftest import (
     constant_model,
     has_avx2,
     lapack_is_openblas,
+    operator_digest,
     random_instance,
     run_under_coretypes,
-    slice_digest,
     src_env,
 )
 
@@ -560,7 +560,7 @@ def test_batched_build_matches_each_slice(monkeypatch, name, J, block):
     each = [TransitionSlice(discretize_generator(model, grid, k), grid.dt)
             for k in range(grid.K)]
     assert P.steps == P.slices and len(P.slices) == grid.K
-    assert slice_digest(P.slices) == slice_digest(each)
+    assert operator_digest(P) == operator_digest(TransitionOperator(each, grid))
     if J > 2:
         kinds = {"ldlt" if s._symmetric else "lu" for s in P.slices}
         assert kinds == ({"ldlt", "lu"} if solves == "mixed" else {solves})
@@ -696,6 +696,227 @@ def test_factor_size_follows_the_solve(mu, doubles):
         tracemalloc.stop()
     assert len(P.slices) == K
     assert retained <= doubles * K * J * 8
+
+
+def _per_run_blocks(steps, J):
+    """P._blocks as a loop over the runs of steps that share a slice,
+    with _row_blocks called afresh for each run."""
+    blocks, start = [], 0
+    for k in range(1, len(steps) + 1):
+        if k == len(steps) or steps[k] is not steps[start]:
+            blocks += [(steps[start], slice(start + b.start, start + b.stop))
+                       for b in _row_blocks(k - start, J)]
+            start = k
+    return blocks
+
+
+def _mixed_steps():
+    """Runs of shared slices (A, B, each used in several runs, some of them
+    several blocks long) between slices of their own."""
+    n = 300
+    shared = {c: TransitionSlice(_bands(n, lo, -2.0, up), 0.1)
+              for c, lo, up in (("A", 0.7, 0.9), ("B", 0.5, 0.5))}
+    pattern = "A" * 100 + "o" + "B" * 3 + "oo" + "A" + "B" * 49 + "o" + "A" * 7
+    steps = [shared.get(c) or TransitionSlice(_bands(n, 0.3 + 0.001 * k, -1.5, 0.6), 0.1)
+             for k, c in enumerate(pattern)]
+    return TransitionOperator(steps, _steps(len(steps), n))
+
+
+@pytest.mark.parametrize("P", [
+    _homogeneous(300, 0.7, -2.0, 0.9, 200),
+    _time_dependent_operator(50, 7),
+    _mixed_steps(),
+], ids=["homogeneous", "time-dependent", "mixed"])
+def test_block_list_matches_the_per_run_reference(P):
+    ref = _per_run_blocks(P.steps, P.n)
+    assert P._blocks == ref
+    rows = np.random.default_rng(13).random((P.K, P.n))
+    each = np.empty_like(rows)
+    for s, steps in ref:
+        each[steps] = s.apply(rows[steps].T).T
+    assert np.array_equal(P.apply_each(rows), each)
+    got = list(P.adjoint_blocks(rows))
+    assert [steps for steps, _ in got] == [steps for _, steps in ref]
+    for (steps, pushed), (s, _) in zip(got, ref):
+        assert np.array_equal(pushed, s.apply_adjoint(rows[steps].T).T)
+
+
+def _grid_verdict(model, grid):
+    """validate_on_grid's rules on the full (K+1) x J grids of sigma and
+    mu: the type and message of the error they raise, or None."""
+    sig = model.sigma.on_grid(grid)
+    if not np.all(np.isfinite(sig)):
+        return ValidationError, "sigma is not finite on the grid"
+    if np.any(sig < model.sigma_min):
+        return EllipticityViolation, (f"sigma drops below sigma_min={model.sigma_min} "
+                                      f"on the grid (min={sig.min():.3g})")
+    if not np.all(np.isfinite(model.mu.on_grid(grid))):
+        return ValidationError, "mu is not finite on the grid"
+    return None
+
+
+def _verdict(model, grid):
+    try:
+        model.validate_on_grid(grid)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_grid_verdict(model, grid):
+    """validate_on_grid decides as the full grid does, with the same error
+    type and message.  One exception: where sigma's minimum is zero and
+    the grid holds it as both +0 and -0, np.min returns whichever its
+    reduction order meets first, on the grid as on the four corners, so
+    either may print as "min=0" or "min=-0"; there the sign is ignored.
+    A zero minimum of one sign prints with that sign on both sides."""
+    with np.errstate(all="ignore"):
+        want, got = _grid_verdict(model, grid), _verdict(model, grid)
+        sig = model.sigma.on_grid(grid)
+    zeros = np.signbit(sig[sig == 0.0])
+    if want is not None and want[0] is EllipticityViolation and zeros.any() and not zeros.all():
+        want, got = [(v[0], v[1].replace("min=-0)", "min=0)")) for v in (want, got)]
+    assert got == want
+    return want
+
+
+_TAB_T = [0.0, 0.5, 0.625, 0.75, 1.0]  # node 0.625 is t_5 of the K=8 grid
+_TAB_X = [0.0, 3.0 / 7.0, 1.0]         # node 3/7 is x_3 of the J=6 grid
+
+
+def _tab_t(bad):
+    return _C.tabulated(_TAB_T, [1.0, 1.0, bad, 1.0, 1.0])
+
+
+def _tab_x(bad):
+    return _C.tabulated(_TAB_X, [0.5, bad, 0.5])
+
+
+_SIGMA = (_C.constant(0.5),)
+_ZERO_MU = (_C.constant(0.0),)
+_NOT_FINITE = {"sigma": (ValidationError, "sigma is not finite on the grid"),
+               "mu": (ValidationError, "mu is not finite on the grid")}
+# (verdict, mu, sigma) of each case, mu and sigma as (space, time)
+# factors: verdict None, the field that is not finite, or "low" for an
+# EllipticityViolation
+VERDICT_CASES = {
+    "passes": (None, _ZERO_MU, _SIGMA),
+    "sigma_overflow": ("sigma", _ZERO_MU, (_C.constant(1e200), _C.constant(1e200))),
+    "sigma_overflow_at_t5": ("sigma", _ZERO_MU, (_C.constant(1e200), _tab_t(1e200))),
+    "mu_overflow": ("mu", (_C.constant(1e200), _C.affine(0.0, 1e200)), _SIGMA),
+    "sigma_time_nan": ("sigma", _ZERO_MU, (_C.constant(0.5), _tab_t(np.nan))),
+    "sigma_space_nan": ("sigma", _ZERO_MU, (_tab_x(np.nan), _C.constant(1.0))),
+    "sigma_time_inf": ("sigma", _ZERO_MU, (_C.constant(0.5), _tab_t(np.inf))),
+    "sigma_space_inf": ("sigma", _ZERO_MU, (_tab_x(np.inf),)),
+    "sigma_space_minus_inf": ("sigma", _ZERO_MU, (_tab_x(-np.inf),)),
+    "mu_time_nan": ("mu", (_C.constant(0.3), _tab_t(np.nan)), _SIGMA),
+    "mu_space_nan": ("mu", (_tab_x(np.nan),), _SIGMA),
+    "mu_time_inf": ("mu", (_C.constant(0.3), _C.constant(np.inf)), _SIGMA),
+    "mu_space_inf": ("mu", (_tab_x(np.inf), _C.affine(1.0, -1.0)), _SIGMA),
+    # sigma's grid is NaN at (t_5, x_3) alone: inf * 0
+    "sigma_inf_times_zero": ("sigma", _ZERO_MU, (_tab_x(0.0), _tab_t(np.inf))),
+    "mu_inf_times_zero": ("mu", (_C.constant(0.0), _C.constant(np.inf)), _SIGMA),
+    # mu is not checked once sigma fails
+    "low_sigma_before_nan_mu": ("low", (_C.constant(np.nan),), (_C.constant(0.0),)),
+    "negative_time_factor": ("low", _ZERO_MU, (_C.constant(0.5), _C.affine(1.0, -2.0))),
+    "two_negative_factors": (None, _ZERO_MU, (_C.constant(-0.5), _C.constant(-1.0))),
+    "tabulated_dip": ("low", _ZERO_MU, (_tab_x(0.1), _tab_t(1e-8))),
+    "tabulated_passes": (None, _ZERO_MU, (_tab_x(0.1), _tab_t(1e-7))),
+    "time_none_zero": ("low", _ZERO_MU, (_C.constant(0.0),)),
+    "time_none_low": ("low", _ZERO_MU, (_C.constant(1e-9),)),
+    "time_constant_low": ("low", _ZERO_MU, (_C.constant(0.5), _C.constant(2e-9))),
+    "time_constant_passes": (None, _ZERO_MU, (_C.constant(0.5), _C.constant(1.0))),
+    # fl(1e-4 * 1e-4) is one ulp above sigma_min = 1e-8
+    "rounds_above_sigma_min": (None, _ZERO_MU, (_C.constant(1e-4), _C.constant(1e-4))),
+    "min_is_negative_zero": ("low", _ZERO_MU, (_C.constant(0.0), _C.constant(-1.0))),
+    "min_is_zero_of_both_signs": ("low", _ZERO_MU, (_C.constant(0.0), _C.affine(-1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(VERDICT_CASES))
+def test_validation_matches_the_full_grid(name):
+    verdict, mu, sigma = VERDICT_CASES[name]
+    model = DiffusionModel(mu=ProductField(*mu), sigma=ProductField(*sigma))
+    want = _assert_grid_verdict(model, build_grid(T=1.0, a=0.0, b=1.0, K=8, J=6))
+    if verdict == "low":
+        assert want[0] is EllipticityViolation
+    else:
+        assert want == _NOT_FINITE.get(verdict)
+    if name == "min_is_negative_zero":
+        assert want[1].endswith("(min=-0)")
+
+
+# factor values the fuzz draws from, besides uniform ones: signed zeros,
+# values whose products fall near sigma_min = 1e-8 or overflow, and
+# non-finite ones
+_SPECIAL = [0.0, -0.0, 1e-4, -1e-4, 1e-8, 1e-200, 1e200, -1e200, np.inf, -np.inf, np.nan]
+
+
+def _random_factor(rng, lo, hi, allow_none):
+    kind = rng.integers(4 if allow_none else 3)
+    if kind == 3:
+        return None
+
+    def value():
+        if rng.random() < 0.3:
+            return _SPECIAL[rng.integers(len(_SPECIAL))]
+        return float(rng.uniform(-0.2, 1.0))
+
+    if kind == 0:
+        return _C.constant(value())
+    if kind == 1:
+        return _C.affine(value(), value())
+    return _C.tabulated(np.linspace(lo, hi, 3), [value() for _ in range(3)])
+
+
+def test_validation_matches_the_full_grid_on_random_fields():
+    rng = np.random.default_rng(17)
+    seen = {}
+    for _ in range(2000):
+        T, a = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 0.0))
+        b = a + float(rng.uniform(0.5, 2.0))
+        grid = build_grid(T=T, a=a, b=b, K=int(rng.integers(1, 6)), J=int(rng.integers(2, 6)))
+        mu, sigma = (ProductField(_random_factor(rng, a, b, False),
+                                  _random_factor(rng, 0.0, T, True)) for _ in range(2))
+        model = DiffusionModel(mu=mu, sigma=sigma,
+                               sigma_min=(1e-8, 0.0, 0.25)[rng.integers(3)])
+        want = _assert_grid_verdict(model, grid)
+        key = want if want is None or want[0] is not EllipticityViolation else want[0]
+        seen[key] = seen.get(key, 0) + 1
+    # every verdict comes up often
+    assert len(seen) == 4 and min(seen.values()) >= 100, seen
+
+
+def test_homogeneous_build_transient_memory():
+    # the (K+1) x J sigma and mu grids a full-grid check builds would
+    # take 10.9 MB here; the build holds the slice's bands, O(K + J)
+    # factors and the block list above the slice it keeps
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=800, J=800)
+    model = constant_model(0.0, 0.5)
+    build_transition_operator(model, grid)
+    tracemalloc.start()
+    try:
+        P = build_transition_operator(model, grid)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(P.slices) == 1
+    assert peak - retained <= 256 * 2**10
+
+
+def test_bad_sigma_is_rejected_without_a_grid():
+    # a 2001 x 2000 sigma grid would take 32 MB
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=2000, J=2000)
+    model = DiffusionModel(mu=ProductField(_C.constant(0.0)),
+                           sigma=ProductField(_C.constant(0.5), _C.affine(1.0, -2.0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EllipticityViolation, match=r"\(min=-0\.5\)"):
+            build_transition_operator(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------------------
