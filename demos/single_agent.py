@@ -17,6 +17,7 @@ from mfgstop import (
     ProductField,
     build_grid,
     build_transition_operator,
+    measure_ledger,
     pair,
     simulate_paths,
     solve_vi,
@@ -36,7 +37,8 @@ def main() -> None:
     f = np.tile(1.44 - grid.x ** 2, (grid.K + 1, 1))
 
     v = solve_vi(f, P)
-    family, ledger = stopped_forward_measure(v.stop_mask, m0, P)
+    family = stopped_forward_measure(v.stop_mask, m0, P)
+    ledger = measure_ledger(family, m0, P)
     value = value_at_initial(v, m0)
     paired = pair(f, family)
 

@@ -33,8 +33,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-# perfbench/tracer.py patches measure_ledger in this namespace, so it stays imported
-from .forward import (  # noqa: F401
+from .forward import (
     fokker_planck_residual,
     measure_ledger,
     random_test_function,
@@ -184,7 +183,7 @@ class Instance:
     def initial_family(self) -> MeasureFamily:
         if self.m_init == "zero":
             return self.zero_family()
-        return stopped_forward_measure(None, self.m0, self.transition)[0]
+        return stopped_forward_measure(None, self.m0, self.transition)
 
 
 def _build_initial(cfg, grid, config_dir: str) -> InitialMeasure:
@@ -208,6 +207,9 @@ def _build_initial(cfg, grid, config_dir: str) -> InitialMeasure:
             masses = np.loadtxt(path, dtype=float).ravel()
         except (OSError, ValueError) as exc:
             raise ConfigParseError(f"cannot read initial masses {path}: {exc}") from exc
+        if masses.size != grid.J:
+            raise ValidationError(f"initial masses {path}: {masses.size} values, "
+                                  f"but the grid has J={grid.J} nodes")
         total = masses.sum()
         if total <= 0:
             raise ValidationError("tabulated initial masses must have positive total")
@@ -418,7 +420,8 @@ def _read_crowd_reward_and_value(inst: Instance, crowd: MeasureFamily):
 
 def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
     f_grid, v = _reward_and_value(inst, inst.zero_family())
-    family, ledger = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
+    family = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
+    ledger = measure_ledger(family, inst.m0, inst.transition)
     value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(f_grid, family))
 
@@ -543,7 +546,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
                 f"stop integral {comp.stop_region_integral:.3e}, "
                 f"continuation residual {comp.continuation_residual:.3e}")
 
-    forward, _ = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
+    forward = stopped_forward_measure(v.stop_mask, inst.m0, inst.transition)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
@@ -606,7 +609,7 @@ def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) ->
                                    grid.dt / MC_SUBSTEPS)
     substepped = {step: _SubsteppedSlice(fine) for step, fine in zip(first, fine_steps)}
     fine = TransitionOperator([substepped[step] for step in inst.transition.steps], grid)
-    exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine)[0].slice_totals()
+    exact_tot = stopped_forward_measure(v.stop_mask, inst.m0, fine).slice_totals()
 
     mc_seed = inst.mc_seed if seed is None else seed
     mc = simulate_paths(inst.model, grid, v, inst.m0, inst.n_paths, mc_seed)

@@ -3,11 +3,12 @@
 Mass is removed at a slice when the value function classifies the node
 as stop, then the survivors are pushed one step by the adjoint
 transition; mass leaving through the absorbing boundary is the row-sum
-deficit of the step.  A push step only masks, solves and clamps; the
-mass ledger is read off the finished family in whole-grid passes, with
-numpy reductions that give the same bits on every CPU.  The resulting
-family is admissible by construction and attains the obstacle-problem
-value, so backward and forward passes certify each other.
+deficit of the step.  A push step only masks, solves and clamps, and
+returns the family alone: the mass ledger is a function of the family,
+read off it by ``measure_ledger`` for forward measures and their convex
+mixtures alike.  The pushed family is admissible by construction and
+attains the obstacle-problem value, so backward and forward passes
+certify each other.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SupportViolation, ValidationError
+from .errors import ShapeMismatch, SupportViolation
 from .measures import MeasureFamily, _block_sum
-from .model_core import (
-    CoefficientFn,
-    InitialMeasure,
-    SpaceTimeGrid,
-    TransitionOperator,
-    _row_blocks,
-)
+from .model_core import CoefficientFn, InitialMeasure, SpaceTimeGrid, TransitionOperator
 from .obstacle import ValueFunction
 
 __all__ = [
@@ -36,8 +31,6 @@ __all__ = [
     "fokker_planck_residual",
     "random_test_function",
 ]
-
-_LEDGER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class MassLedger:
 
 
 def stopped_forward_measure(stop_mask: np.ndarray | None, m0: InitialMeasure,
-                            P: TransitionOperator) -> tuple[MeasureFamily, MassLedger]:
+                            P: TransitionOperator) -> MeasureFamily:
     """Push m0 through the chain, removing mass on the stop region.
 
     stop_mask is a value function's (K+1, J) stop classification
@@ -82,56 +75,23 @@ def stopped_forward_measure(stop_mask: np.ndarray | None, m0: InitialMeasure,
     never stops: the family is the chain of m0 killed only at the
     boundary, which dominates every admissible family componentwise.
 
-    Each step does three things: it masks slice k into one reused
-    buffer, solves with P_k^T, and clamps the result into slice k+1.
-    The ledger is then read off the finished slices in whole-grid
-    passes, a block of rows at a time: each slice's total, its stopped
-    mass, the zeroing of its stop nodes and its total again.  A slice's
-    stopped mass is numpy's sum of the slice where it stops, not a BLAS
-    dot, so its bits do not depend on the CPU's BLAS kernels.
-    Conservation (initial = stopped + absorbed + surviving) holds to
-    near machine precision and is asserted.
+    Each step zeroes slice k's stop nodes in place, solves from it with
+    P_k^T, and clamps the result into slice k+1; the last slice's stop
+    nodes are zeroed after the loop.  Where the mass went is read off
+    the family by ``measure_ledger``.
     """
     K, J = P.K, P.n
     if len(m0.masses) != J or (stop_mask is not None and stop_mask.shape != (K + 1, J)):
         raise ShapeMismatch("stop mask, operator, and m0 disagree on shape")
     out = np.empty((K + 1, J))
     out[0] = m0.masses
-    if stop_mask is None:
-        for k, step in enumerate(P.steps):
-            np.maximum(step.apply_adjoint(out[k]), 0.0, out=out[k + 1])
-    else:
-        buf = np.empty(J)
-        for k, step in enumerate(P.steps):
-            np.multiply(out[k], ~stop_mask[k], out=buf)
-            np.maximum(step.apply_adjoint(buf), 0.0, out=out[k + 1])
-
-    # each slice's total before (pre) and after (post) its stop.  The
-    # masked passes make no temporary, and zeroing a stop node as
-    # x * 0.0 keeps the sign of its zero, as x *= ~mask does.  Their cost
-    # grows with the number of runs of stop nodes (about 50 ns a run on
-    # a 2-vCPU Xeon): small on a value function's stop region, a few
-    # intervals per slice, but above a BLAS dot's on a scattered mask
-    pre = np.empty(K + 1)
-    stopped = np.zeros(K + 1)
-    post = pre if stop_mask is None else np.empty(K + 1)
-    for rows in _row_blocks(K + 1, J):
-        block = out[rows]
-        np.add.reduce(block, axis=1, out=pre[rows])
+    for k, step in enumerate(P.steps):
         if stop_mask is not None:
-            stop = stop_mask[rows]
-            np.add.reduce(block, axis=1, where=stop, out=stopped[rows])
-            np.multiply(block, 0.0, out=block, where=stop)
-            np.add.reduce(block, axis=1, out=post[rows])
-
-    family = MeasureFamily(out, P.grid, validate=False)
-    ledger = MassLedger(initial=m0.total, stopped_per_step=stopped,
-                        absorbed_per_step=post[:-1] - pre[1:],
-                        surviving=float(post[K]))
-    gap = ledger.conservation_gap
-    if gap > _LEDGER_TOL * max(1.0, m0.total):
-        raise ValidationError(f"mass ledger does not balance: gap={gap:.3e}")
-    return family, ledger
+            np.multiply(out[k], ~stop_mask[k], out=out[k])
+        np.maximum(step.apply_adjoint(out[k]), 0.0, out=out[k + 1])
+    if stop_mask is not None:
+        np.multiply(out[K], ~stop_mask[K], out=out[K])
+    return MeasureFamily(out, P.grid, validate=False)
 
 
 def measure_ledger(m: MeasureFamily, m0: InitialMeasure,
@@ -141,8 +101,9 @@ def measure_ledger(m: MeasureFamily, m0: InitialMeasure,
     Stopped mass at a slice is the family's defect against the pushed
     previous slice; absorbed mass is the push's own boundary leak.  The
     decomposition is linear in the family, so it is consistent with
-    convex mixing, and it reduces to the mask-based ledger on forward
-    measures.
+    convex mixing.  On a forward measure it is, up to rounding, the
+    push's step-by-step ledger: each slice's mass on its stop nodes
+    before they are zeroed, and each step's row-sum deficit.
     """
     A = m.masses
     totals = A.sum(axis=1)

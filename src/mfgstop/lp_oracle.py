@@ -252,8 +252,7 @@ def random_admissible_measure(P: TransitionOperator, m0: InitialMeasure,
     for _ in range(n_mix):
         f = rng.normal(size=P.grid.shape)
         v = solve_vi(f, P)
-        fam, _ = stopped_forward_measure(v.stop_mask, m0, P)
-        parts.append(fam)
+        parts.append(stopped_forward_measure(v.stop_mask, m0, P))
     if rng.random() < 0.3:
         parts.append(MeasureFamily.zeros(P.grid))
     w = rng.dirichlet(np.ones(len(parts)))

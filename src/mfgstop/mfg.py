@@ -98,8 +98,9 @@ class PushCache:
     is stored only when its mask is among the last WINDOW masks seen; at
     most CAP are held (measured atom sets have 1-3 members), and the
     least recently used one goes first.  A hit hands out the stored
-    arrays, which nobody writes to.  The push's mass ledger is not kept:
-    ``measure_ledger`` recomputes it from the family.
+    arrays, which nobody writes to.  A push is its family alone;
+    ``measure_ledger`` reads the mass ledger off a family when one is
+    wanted.
     """
 
     CAP = 3
@@ -116,7 +117,7 @@ class PushCache:
         if out is not None:
             self.pushes.move_to_end(key)
         else:
-            out = stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)[0]
+            out = stopped_forward_measure(stop_mask, self.ctx.m0, self.ctx.transition)
             if key in self.recent:
                 self.pushes[key] = out
                 if len(self.pushes) > self.CAP:
@@ -137,7 +138,7 @@ def best_response(spec: RewardSpec, it: Iterate, ctx: ModelContext,
     push, so neither grid is live during the push."""
     stop = solve_vi(evaluate_reward(spec, it.ys), ctx.transition).stop_mask
     if pushes is None:
-        fam = stopped_forward_measure(stop, ctx.m0, ctx.transition)[0]
+        fam = stopped_forward_measure(stop, ctx.m0, ctx.transition)
     else:
         fam = pushes.push(stop)
     it_tilde = Iterate.of(spec, fam)

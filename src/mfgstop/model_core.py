@@ -92,19 +92,24 @@ def build_grid(T: float, a: float, b: float, K: int, J: int) -> SpaceTimeGrid:
     Raises
     ------
     NonPositiveHorizon
-        if T <= 0.
+        if T <= 0 or T is not finite.
     EmptyDomain
         if b <= a.
     DegenerateGrid
-        if K < 1 or J < 2.
+        if K < 1 or J < 2, or if a, b or dx is not finite.
     """
-    if not (T > 0):
-        raise NonPositiveHorizon(f"horizon must be positive, got T={T}")
+    if not (0 < T < math.inf):
+        raise NonPositiveHorizon(f"horizon must be positive and finite, got T={T}")
     if not (b > a):
         raise EmptyDomain(f"domain must satisfy a < b, got a={a}, b={b}")
     if K < 1 or J < 2:
         raise DegenerateGrid(f"need K >= 1 and J >= 2, got K={K}, J={J}")
-    return SpaceTimeGrid(T=float(T), a=float(a), b=float(b), K=int(K), J=int(J))
+    grid = SpaceTimeGrid(T=float(T), a=float(a), b=float(b), K=int(K), J=int(J))
+    # with a < b, dx is infinite exactly when a or b is, or b - a overflows
+    if not math.isfinite(grid.dx):
+        raise DegenerateGrid(f"domain and spacing must be finite, got a={a}, b={b}, "
+                             f"dx={grid.dx}")
+    return grid
 
 
 # ----------------------------------------------------------------------

@@ -265,16 +265,6 @@ def antimonotonicity_check(spec: RewardSpec, samples: int = 200,
     return True, None
 
 
-def _potential_of_paths(spec: RewardSpec, t: np.ndarray, ys, H: float,
-                        dt: float) -> float:
-    """F from the moment paths cut to their first K entries (t is t[:K])
-    and the h pairing."""
-    total = 0.0
-    for (fbar, _), y in zip(spec.terms, ys):
-        total += dt * float(np.sum(fbar.F_bar(t, y)))
-    return total + H
-
-
 def potential_value(spec: RewardSpec, it: Iterate) -> float:
     """F(m): time integral of the antiderivatives plus the linear h part.
 
@@ -283,7 +273,11 @@ def potential_value(spec: RewardSpec, it: Iterate) -> float:
     """
     grid = it.family.grid
     K = it.family.K
-    return _potential_of_paths(spec, grid.t[:K], [y[:K] for y in it.ys], it.H, grid.dt)
+    t = grid.t[:K]
+    total = 0.0
+    for (fbar, _), y in zip(spec.terms, it.ys):
+        total += grid.dt * float(np.sum(fbar.F_bar(t, y[:K])))
+    return total + it.H
 
 
 def segment_potential(spec: RewardSpec, a: Iterate, b: Iterate):
@@ -294,7 +288,7 @@ def segment_potential(spec: RewardSpec, a: Iterate, b: Iterate):
     each evaluation costs O(K).  The interpolated paths are convex
     combinations of two range-checked paths, so they stay in range too.
     Each term's theta(t_k) is evaluated once, here, not per evaluation;
-    the sum is _potential_of_paths's, bit for bit.
+    the sum is potential_value's on the interpolated paths, bit for bit.
     """
     if a.family.masses.shape != b.family.masses.shape:
         raise ShapeMismatch("families must share a shape")

@@ -68,7 +68,7 @@ def _duality_runs():
             K = int(rng.choice(_SIZES))
             grid, model, P, m0, f = random_instance(rng, J=J, K=K)
             v = solve_vi(f, P)
-            family, ledger = stopped_forward_measure(v.stop_mask, m0, P)
+            family = stopped_forward_measure(v.stop_mask, m0, P)
             runs.append((grid, model, P, m0, f, v, family))
         _RUNS = runs
     return _RUNS
@@ -170,7 +170,7 @@ def test_criterion_6_value_unique_across_initializations(capsys,
     ctx = congestion_solution["ctx"]
     base = congestion_solution["result"]
     other = fixed_point_solve(
-        spec, ctx, m_init=stopped_forward_measure(None, ctx.m0, ctx.transition)[0],
+        spec, ctx, m_init=stopped_forward_measure(None, ctx.m0, ctx.transition),
         eps_tol=1e-9)
     dval = abs(other.value - base.value)
     ones = CoefficientFn.constant(1.0)

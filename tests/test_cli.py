@@ -564,6 +564,25 @@ def test_zero_horizon_exits_3(tmp_path):
     assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("old, new, name", [("a = 0.0\nb = 1.0", "a = -inf\nb = inf", "domain"),
+                                           ("T = 1.0", "T = inf", "horizon")],
+                         ids=["infinite-domain", "infinite-horizon"])
+def test_infinite_grid_exits_3(tmp_path, capsys, old, new, name):
+    cfg = _cfg(tmp_path, STOP_NOW.replace(old, new))
+    capsys.readouterr()
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert name in capsys.readouterr().err
+
+
+def test_tabulated_initial_of_the_wrong_length_exits_3(tmp_path, capsys):
+    (tmp_path / "m3.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, STOP_NOW.replace("kind = uniform", "kind = tabulated(m3.txt)"))
+    capsys.readouterr()
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "m3.txt" in err and "3 values" in err and "J=5" in err
+
+
 def test_unknown_coefficient_kind_exits_3(tmp_path):
     cfg = _cfg(tmp_path, STOP_NOW.replace("mu.kind = constant",
                                           "mu.kind = quartic"))

@@ -39,7 +39,7 @@ def test_enumeration_all_positive_reward():
     grid, model, P, m0 = make_instance(K=4, J=4)
     f = np.ones(grid.shape)
     res = enumerate_stopping_rules(f, P, m0)
-    bar = stopped_forward_measure(None, m0, P)[0]
+    bar = stopped_forward_measure(None, m0, P)
     assert not res.best_rule.any()
     assert res.best_value == pytest.approx(pair(f, bar), rel=1e-12)
 
@@ -133,7 +133,7 @@ def test_audit_zero_measure_nonnegative():
 
 def test_audit_all_continue_nonnegative():
     grid, model, P, m0 = make_instance(K=8, J=6)
-    bar = stopped_forward_measure(None, m0, P)[0]
+    bar = stopped_forward_measure(None, m0, P)
     res = function_audit(bar, m0, P, n_functions=100, seed=0)
     assert res.worst_normalized >= -1e-9
 
@@ -150,7 +150,7 @@ def test_audit_forward_measures_nonnegative():
 
 def test_audit_detects_inflated_node():
     grid, model, P, m0 = make_instance(K=8, J=6)
-    bar = stopped_forward_measure(None, m0, P)[0]
+    bar = stopped_forward_measure(None, m0, P)
     m = MeasureFamily(bar.masses.copy(), grid=grid, validate=False)
     m.masses[3, 2] *= 1.5
     found = False

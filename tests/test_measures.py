@@ -51,7 +51,7 @@ def test_zero_family_is_admissible():
 
 def test_all_continue_has_zero_slack():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     report = is_admissible(m, m0, P, tol=0.0)
     assert report.ok
     assert report.worst_violation == 0.0
@@ -60,7 +60,7 @@ def test_all_continue_has_zero_slack():
 @pytest.mark.parametrize("node", [(0, 1), (3, 2), (8, 5)])
 def test_inflated_node_is_flagged(node):
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     k, j = node
     m.masses[k, j] *= 1.5
     report = is_admissible(m, m0, P)
@@ -86,7 +86,7 @@ def test_nan_mass_is_flagged(inflate):
     # a NaN spreads through the push; it must neither pass nor hide the
     # inflated node that a per-step scan would still report
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     m.masses[2, 3] = np.nan
     if inflate:
         m.masses[6, 1] *= 1.5
@@ -97,7 +97,7 @@ def test_nan_mass_is_flagged(inflate):
 
 def test_negative_mass_is_flagged():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     m.masses[2, 3] = -0.4
     report = is_admissible(m, m0, P)
     assert not report
@@ -122,7 +122,7 @@ def test_all_continue_near_identity_transition():
     model = constant_model(0.0, 1e-4)
     P = build_transition_operator(model, grid)
     m0 = InitialMeasure.uniform(grid)
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     for k in range(grid.K + 1):
         assert np.allclose(m.masses[k], m0.masses, atol=1e-9)
 
@@ -133,7 +133,7 @@ def test_all_continue_scalar_geometric_decay():
     grid = SpaceTimeGrid(T=K * dt, a=0.0, b=1.0, K=K, J=1)
     P = TransitionOperator([TransitionSlice(A, grid.dt)] * grid.K, grid)
     m0 = InitialMeasure.from_masses([1.0])
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     p = 1.0 / (1.0 + dt * c)
     for k in range(K + 1):
         assert m.masses[k, 0] == pytest.approx(p**k, rel=1e-13)
@@ -148,7 +148,7 @@ def test_all_continue_matches_monte_carlo_histogram():
     model = constant_model(0.0, 0.25)
     P = build_transition_operator(model, grid)
     m0 = InitialMeasure.uniform(grid)
-    bar = stopped_forward_measure(None, m0, P)[0]
+    bar = stopped_forward_measure(None, m0, P)
     mc = simulate_paths(model, grid, None, m0, n_paths=n, seed=0)
     assert mc.stats.stopped == 0
     for k in (50, 100, 150, 200):
@@ -162,7 +162,7 @@ def test_slice_mass_monotone():
     rng = np.random.default_rng(7)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        totals = stopped_forward_measure(None, m0, P)[0].slice_totals()
+        totals = stopped_forward_measure(None, m0, P).slice_totals()
         assert np.all(np.diff(totals) <= 1e-14)
         assert totals[0] == pytest.approx(m0.total, abs=1e-14)
 
@@ -171,7 +171,7 @@ def test_domination_by_all_continue():
     rng = np.random.default_rng(8)
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
-        bar = stopped_forward_measure(None, m0, P)[0]
+        bar = stopped_forward_measure(None, m0, P)
         m = random_admissible_measure(P, m0, rng)
         assert np.all(m.masses <= bar.masses + 1e-12)
 
@@ -182,7 +182,7 @@ def test_domination_by_all_continue():
 
 def test_moment_of_ones_counts_survivors():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     y = moment(m, CoefficientFn.constant(1.0))
     assert np.allclose(y, m.slice_totals(), atol=1e-14)
 
@@ -236,7 +236,7 @@ def test_moment_matches_fsum():
 
 def test_pair_zero_reward():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     assert pair(np.zeros(grid.shape), m) == 0.0
 
 
@@ -248,7 +248,7 @@ def test_pair_unit_reward_identity_transition():
     A = Tridiagonal(lower=np.zeros(J - 1), diag=np.zeros(J), upper=np.zeros(J - 1))
     P = TransitionOperator([TransitionSlice(A, grid.dt)] * grid.K, grid)
     m0 = InitialMeasure.uniform(grid)
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     val = pair(np.ones(grid.shape), m)
     assert val == pytest.approx(1.0, abs=1e-14)
 
@@ -268,7 +268,7 @@ def test_pair_matches_fsum_double_loop():
 
 def test_pair_ignores_final_slice():
     grid, model, P, m0 = make_instance(K=3, J=4)
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     f = np.zeros(grid.shape)
     f[grid.K] = 100.0
     assert pair(f, m) == 0.0
@@ -276,7 +276,7 @@ def test_pair_ignores_final_slice():
 
 def test_pair_shape_mismatch():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     with pytest.raises(ShapeMismatch):
         pair(np.zeros((2, 2)), m)
 
@@ -308,7 +308,7 @@ def test_convex_combine_stays_admissible():
 
 def test_convex_combine_rejects_bad_rho():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     with pytest.raises(ValidationError):
         convex_combine(m, m, -0.1)
     with pytest.raises(ValidationError):
@@ -436,7 +436,7 @@ def test_streamed_chain_check_and_ledger_match_the_one_shot_forms():
     m0 = InitialMeasure.uniform(grid)
     for P in operators:
         assert len(P._blocks) > 3
-        m = stopped_forward_measure(None, m0, P)[0]
+        m = stopped_forward_measure(None, m0, P)
         ledger = measure_ledger(m, m0, P)
         totals = m.masses.sum(axis=1)
         pushed = adjoint_each(P, m.masses[:-1]).sum(axis=1)

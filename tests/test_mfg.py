@@ -47,7 +47,7 @@ from mfgstop.forward import stopped_forward_measure
 from mfgstop.lp_oracle import random_admissible_measure
 from mfgstop.mfg import PushCache
 from mfgstop.obstacle import complementarity_report, solve_vi
-from mfgstop.reward import _potential_of_paths, segment_potential
+from mfgstop.reward import segment_potential
 
 from conftest import (
     congestion_instance,
@@ -112,7 +112,7 @@ def test_best_response_ignores_crowd_when_decoupled():
     spec = _decoupled_spec(grid, m0)
 
     zero = MeasureFamily.zeros(grid)
-    crowd = stopped_forward_measure(None, m0, P)[0]
+    crowd = stopped_forward_measure(None, m0, P)
     it_a, it_b = Iterate.of(spec, zero), Iterate.of(spec, crowd)
     br_a = best_response(spec, it_a, ctx)
     br_b = best_response(spec, it_b, ctx)
@@ -130,7 +130,7 @@ def test_best_response_stops_at_once_when_reward_is_negative():
         terms=((FBarFn("linear", (-1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
 
-    it = Iterate.of(spec, stopped_forward_measure(None, m0, P)[0])
+    it = Iterate.of(spec, stopped_forward_measure(None, m0, P))
     br = best_response(spec, it, ctx)
     f = evaluate_reward(spec, it.ys)
     assert np.all(f < 0.0)
@@ -178,7 +178,7 @@ def test_best_response_value_matches_small_lp():
 
 def test_line_search_interior_matches_golden_section_oracle():
     grid, model, P, m0, spec, ctx = congestion_instance(J=40, K=40)
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     it = Iterate.of(spec, m)
     br = best_response(spec, it, ctx)
     m_tilde = br.iterate.family
@@ -199,7 +199,7 @@ def test_line_search_interior_matches_golden_section_oracle():
 def test_segment_potential_matches_potential_of_combined_family(kind):
     grid, P, m0, spec, ctx = _curved_instance(*CURVED[kind])
     rng = np.random.default_rng(37)
-    for m in (stopped_forward_measure(None, m0, P)[0],
+    for m in (stopped_forward_measure(None, m0, P),
               random_admissible_measure(P, m0, rng)):
         it = Iterate.of(spec, m)
         it_tilde = best_response(spec, it, ctx).iterate
@@ -213,24 +213,23 @@ def test_segment_potential_matches_potential_of_combined_family(kind):
 @pytest.mark.parametrize("kind", sorted(CURVED))
 def test_segment_potential_is_the_potential_of_the_interpolated_paths(kind):
     # phi evaluates each term's theta(t_k) once per segment; at every rho
-    # it keeps the bits of _potential_of_paths on the interpolated paths
+    # it keeps the bits of potential_value on the interpolated paths
     fbar, h = CURVED[kind]
     timed = FBarFn(fbar.kind, fbar.params, time_modulation=CoefficientFn.affine(1.0, 0.5))
     grid, P, m0, spec, ctx = _curved_instance(timed, h)
-    a = Iterate.of(spec, stopped_forward_measure(None, m0, P)[0])
+    a = Iterate.of(spec, stopped_forward_measure(None, m0, P))
     b = best_response(spec, a, ctx).iterate
     phi = segment_potential(spec, a, b)
     K = grid.K
     for rho in np.linspace(0.0, 1.0, 9).tolist():
-        paths = [(1.0 - rho) * y[:K] + rho * y_b[:K] for y, y_b in zip(a.ys, b.ys)]
-        want = _potential_of_paths(spec, grid.t[:K], paths,
-                                   (1.0 - rho) * a.H + rho * b.H, grid.dt)
-        assert phi(rho) == want
+        paths = tuple((1.0 - rho) * y[:K] + rho * y_b[:K] for y, y_b in zip(a.ys, b.ys))
+        H = (1.0 - rho) * a.H + rho * b.H
+        assert phi(rho) == potential_value(spec, dataclasses.replace(a, ys=paths, H=H))
 
 
 def test_line_search_exponential_matches_golden_section_oracle():
     grid, P, m0, spec, ctx = _curved_instance(*CURVED["exponential"])
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     it = Iterate.of(spec, m)
     br = best_response(spec, it, ctx)
     m_tilde = br.iterate.family
@@ -264,7 +263,7 @@ def test_line_search_decoupled_takes_full_or_no_step():
 
 def test_line_search_stationary_direction_returns_zero():
     grid, model, P, m0 = make_instance()
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     linear = _decoupled_spec(grid, m0)
     it = Iterate.of(linear, m)
     assert line_search(linear, it, it, directional_gain(linear, it, it)) == 0.0
@@ -282,7 +281,7 @@ def test_line_search_rejects_non_concave_objective():
     bad = FBarFn("exponential", (-1.0, 2.0), validate=False)
     spec = RewardSpec(terms=((bad, CoefficientFn.constant(1.0)),))
     zero = MeasureFamily.zeros(grid)
-    bar = stopped_forward_measure(None, m0, P)[0]
+    bar = stopped_forward_measure(None, m0, P)
     with pytest.raises(NonConcaveDetected):
         # the golden section reads no gain
         line_search(spec, Iterate.of(spec, zero), Iterate.of(spec, bar), None)
@@ -397,7 +396,7 @@ def test_fixed_point_agrees_across_initializations(congestion_solution):
     ctx = congestion_solution["ctx"]
     base = congestion_solution["result"]
 
-    bar = stopped_forward_measure(None, ctx.m0, ctx.transition)[0]
+    bar = stopped_forward_measure(None, ctx.m0, ctx.transition)
     other = fixed_point_solve(spec, ctx, m_init=bar, eps_tol=1e-9)
     assert other.converged
     assert abs(other.value - base.value) <= 1e-6
@@ -626,7 +625,7 @@ class _NeverHits(PushCache):
 
     def push(self, stop_mask):
         return mfgstop.mfg.stopped_forward_measure(stop_mask, self.ctx.m0,
-                                                   self.ctx.transition)[0]
+                                                   self.ctx.transition)
 
 
 def _solve_without_cache(monkeypatch, spec, ctx, **kw):
@@ -692,7 +691,7 @@ def test_push_cache_keeps_masks_one_node_apart_separate(monkeypatch):
         cache.push(v)
     assert len(calls) == 4 and len(cache.pushes) == 2
     for v in (a, b, a, b):
-        fresh = stopped_forward_measure(v, ctx.m0, ctx.transition)[0]
+        fresh = stopped_forward_measure(v, ctx.m0, ctx.transition)
         np.testing.assert_array_equal(cache.push(v).masses, fresh.masses)
     assert len(calls) == 4
     assert not np.array_equal(cache.push(a).masses, cache.push(b).masses)

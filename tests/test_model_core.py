@@ -70,6 +70,14 @@ def test_grid_rejects_bad_inputs():
         build_grid(T=1.0, a=0.0, b=1.0, K=0, J=3)
     with pytest.raises(DegenerateGrid):
         build_grid(T=1.0, a=0.0, b=1.0, K=4, J=1)
+    for T in (np.inf, np.nan, -np.inf):
+        with pytest.raises(NonPositiveHorizon):
+            build_grid(T=T, a=0.0, b=1.0, K=4, J=3)
+    for a, b in ((-np.inf, np.inf), (-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)):
+        with pytest.raises(DegenerateGrid):
+            build_grid(T=1.0, a=a, b=b, K=4, J=3)
+    with pytest.raises(EmptyDomain):
+        build_grid(T=1.0, a=np.nan, b=1.0, K=4, J=3)
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_strong_duality_with_forward_measure():
     for _ in range(10):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P)
-        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
+        m = stopped_forward_measure(v.stop_mask, m0, P)
         primal = pair(f, m)
         dual = value_at_initial(v, m0)
         assert abs(primal - dual) <= 1e-10 * (1.0 + abs(dual))
@@ -225,7 +225,7 @@ def test_complementarity_of_forward_measure():
     for _ in range(8):
         grid, model, P, m0, f = random_instance(rng)
         v = solve_vi(f, P)
-        m, ledger = stopped_forward_measure(v.stop_mask, m0, P)
+        m = stopped_forward_measure(v.stop_mask, m0, P)
         rep = complementarity_report(v, f, m, P)
         assert rep.stop_region_integral <= 1e-10
         assert rep.continuation_residual <= 1e-10
@@ -239,7 +239,7 @@ def test_complementarity_detects_mass_in_stop_region():
     f[:, : grid.J // 2] = -1.0
     v = solve_vi(f, P)
     assert v.stop_mask[0, 0]
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     rep = complementarity_report(v, f, m, P)
     assert rep.stop_region_integral > 0.01
 
@@ -255,7 +255,7 @@ def test_complementarity_allows_mass_on_tie_nodes():
     v = solve_vi(f, P)
     assert v.values[3, 2] == 0.0
     assert np.array_equal(np.argwhere(v.stop_mask[:-1]), [[3, 2]])
-    m = stopped_forward_measure(None, m0, P)[0]
+    m = stopped_forward_measure(None, m0, P)
     assert grid.dt * abs(f[3, 2]) * m.masses[3, 2] > 1e-3
     rep = complementarity_report(v, f, m, P)
     assert rep.stop_region_integral == 0.0

@@ -68,7 +68,7 @@ def test_decoupled_reward_ignores_measure():
         terms=((FBarFn("linear", (1.0, 0.0)), CoefficientFn.constant(1.0)),),
     ).validated(grid, m0)
     zero = MeasureFamily.zeros(grid)
-    full = stopped_forward_measure(None, m0, P)[0]
+    full = stopped_forward_measure(None, m0, P)
     f0 = _f(spec, zero)
     f1 = _f(spec, full)
     assert np.array_equal(f0, np.ones(grid.shape))
