@@ -337,7 +337,8 @@ def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray) -> str:
 def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse a t,x,value CSV back into (times, nodes, (K+1, J) array).
 
-    J is the length of the first time block; blank lines are skipped.
+    J is the length of the first time block, and every block must hold
+    one t and the first block's x; blank lines are skipped.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -359,7 +360,12 @@ def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     J = int(later[0]) + 1 if later.size else len(data)
     if len(data) % J != 0:
         raise VerificationFailure(f"{path}: ragged time blocks")
-    return data[::J, 0], data[:J, 1], np.ascontiguousarray(data[:, 2].reshape(-1, J))
+    blocks = data.reshape(-1, J, 3)
+    if np.any(blocks[:, :, 0] != blocks[:, :1, 0]):
+        raise VerificationFailure(f"{path}: t varies within a time block")
+    if np.any(blocks[:, :, 1] != blocks[:1, :, 1]):
+        raise VerificationFailure(f"{path}: x differs from the first time block's")
+    return blocks[:, 0, 0], blocks[0, :, 1], np.ascontiguousarray(blocks[:, :, 2])
 
 
 def _write(path: str, text: str) -> None:

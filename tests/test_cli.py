@@ -299,6 +299,13 @@ def _malformed(lines):
     """Each malformed variant of a measure CSV, given its lines."""
     head, body = lines[0], lines[1:]
     t, x, _ = body[0].split(",")
+    J = next(i for i, row in enumerate(body) if not row.startswith(t + ","))
+
+    def changed(i, col, value):
+        row = body[i].split(",")
+        row[col] = value
+        return "\n".join([head] + body[:i] + [",".join(row)] + body[i + 1:]) + "\n"
+
     return {
         "empty": "",
         "header_only": head + "\n",
@@ -309,6 +316,10 @@ def _malformed(lines):
         "non_numeric": "\n".join([head, f"{t},{x},abc"] + body[1:]) + "\n",
         "ragged_blocks": "\n".join([head, body[0]] + body[2:]) + "\n",
         "hash_line": "\n".join([head, "# comment"] + body) + "\n",
+        # row J+5, in the second block, repeats its neighbour's x
+        "wrong_x": changed(J + 4, 1, body[J + 3].split(",")[1]),
+        # the second row of the third block has the first block's t
+        "wrong_t_in_block": changed(2 * J + 1, 0, t),
     }
 
 
@@ -323,7 +334,8 @@ def decoupled_artifacts(tmp_path_factory):
 
 @pytest.mark.parametrize("case", ["empty", "header_only", "wrong_header", "short_row",
                                   "all_rows_short", "long_row", "non_numeric",
-                                  "ragged_blocks", "hash_line"])
+                                  "ragged_blocks", "hash_line", "wrong_x",
+                                  "wrong_t_in_block"])
 def test_malformed_measure_csv_fails_verification(stop_now_game, tmp_path, case):
     # the intact copy passes both checks, so each exit 5 below is the CSV's doing
     cfg, out = stop_now_game

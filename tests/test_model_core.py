@@ -1,11 +1,15 @@
 """Grid arithmetic, generator stencils, resolvent operators, reward folding."""
 
+import importlib.machinery
+import os
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from mfgstop import (
@@ -432,6 +436,37 @@ def test_one_ulp_asymmetry_takes_the_lu_solve():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype, prefix", [(np.float32, "s"), (np.float64, "d")])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["ldlt", "lu"])
+def test_slice_factors_with_the_routines_of_its_dtype(dtype, prefix, symmetric):
+    # the bands' dtype picks the LAPACK routines, with the prefix scipy's
+    # get_lapack_funcs gives it: float32 bands keep single precision
+    rng = np.random.default_rng(14)
+    n, dt = 30, 0.1
+    lower = rng.random(n - 1).astype(dtype)
+    upper = lower if symmetric else rng.random(n - 1).astype(dtype)
+    A = Tridiagonal(lower=lower, diag=-(2.0 + rng.random(n)).astype(dtype), upper=upper)
+    m_lower, m_diag, m_upper = -dt * A.lower, 1.0 - dt * A.diag, -dt * A.upper
+    assert m_diag.dtype == dtype
+    x = rng.random(n)
+    routine = {name: getattr(lapack, prefix + name)
+               for name in ("pttrf", "pttrs", "gttrf", "gttrs")}
+    if symmetric:
+        *factor, info = routine["pttrf"](m_diag, m_lower)
+    else:
+        *factor, info = routine["gttrf"](m_lower, m_diag, m_upper)
+    assert info == 0
+    slice_ = TransitionSlice(A, dt)
+    for trans, got in (("N", slice_.apply(x)), ("T", slice_.apply_adjoint(x))):
+        if symmetric:
+            want, info = routine["pttrs"](*factor, x)
+        else:
+            want, info = routine["gttrs"](*factor, x, trans=trans)
+        assert info == 0
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 _CPU_HASHES = """
 import hashlib
 import numpy as np
@@ -462,23 +497,38 @@ def test_slice_solves_do_not_depend_on_the_cpu_kernels():
     assert len(set(seen.values())) == 1, seen
 
 
-_SCIPY_SUBPACKAGES = """
+_IMPORT_FOOTPRINT = """
 import sys
-import mfgstop
-print(" ".join(sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})))
+import mfgstop, mfgstop.cli
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
 """
 
 
-def test_import_loads_no_scipy_subpackage_but_linalg():
-    # importing mfgstop peaks near 57 MiB of RSS; scipy.optimize alone
-    # adds about 20 MiB more, far above what the benchmark's peak-RSS
-    # bound allows.  scipy's private modules and `version` load with
-    # scipy.linalg itself.
-    out = subprocess.run([sys.executable, "-c", _SCIPY_SUBPACKAGES], env=src_env(),
+def test_import_loads_no_scipy_module():
+    # mfgstop loads scipy's LAPACK extension on its own: through
+    # scipy.linalg, the import loaded 559 modules and peaked at 58.5 MiB
+    # of RSS; without it, near 33.5 MiB, of which numpy is 27.  VmHWM is
+    # the child's own peak; its ru_maxrss would start from this process's
+    # RSS, which Linux records at exec.
+    out = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=src_env(),
                          capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
-    public = {name for name in loaded if not name.startswith("_")} - {"version"}
-    assert public == {"linalg"}, sorted(loaded)
+    loaded, peak_kib = out.stdout.split("\n")[:2]
+    assert loaded == ""
+    assert int(peak_kib) / 1024 < 40.0
+
+
+def test_missing_lapack_extension_names_where_it_looked(monkeypatch):
+    find_spec = importlib.machinery.PathFinder.find_spec
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None, target=None:
+                        None if name == "_flapack" else find_spec(name, path, target))
+    with pytest.raises(ImportError) as err:
+        model_core._load_flapack()
+    message = str(err.value)
+    assert os.path.join("scipy", "linalg") in message
+    assert f"scipy {scipy.__version__}" in message
 
 
 def test_batched_pushes_reject_wrong_shape():
