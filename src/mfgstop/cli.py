@@ -51,6 +51,7 @@ from .model_core import (
     TransitionOperator,
     TransitionSlice,
     _generator_slices,
+    _row_blocks,
     build_grid,
     build_transition_operator,
     fold_reward,
@@ -325,13 +326,20 @@ def _g17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray) -> str:
+_GRID_CSV_HEADER = "t,x,value\n"
+
+
+def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray, rows: slice | None = None) -> str:
+    """The t,x,value CSV text of a (K+1, J) grid of values: the header
+    and every slice, or with rows, a slice of time indices, only those
+    slices' lines."""
     xs = [f",{_g17(xj)},%.17g\n" for xj in grid.x]
-    rows = ["t,x,value\n"]
-    for k in range(grid.K + 1):
+    lines = [_GRID_CSV_HEADER] if rows is None else []
+    ks = range(grid.K + 1) if rows is None else range(rows.start, rows.stop)
+    for k in ks:
         tk = _g17(grid.t[k])
-        rows.append("".join([tk + xj for xj in xs]) % tuple(values[k].tolist()))
-    return "".join(rows)
+        lines.append("".join([tk + xj for xj in xs]) % tuple(values[k].tolist()))
+    return "".join(lines)
 
 
 def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,9 +376,32 @@ def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return blocks[:, 0, 0], blocks[0, :, 1], np.ascontiguousarray(blocks[:, :, 2])
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write(path: str, text: str, mode: str = "w") -> None:
+    with open(path, mode, encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_grid_csv(path: str, grid: SpaceTimeGrid, values: np.ndarray) -> None:
+    """Write grid_csv_text(grid, values) to path a block of slices at a
+    time, so that no string holds the whole file."""
+    _write(path, _GRID_CSV_HEADER)
+    for rows in _row_blocks(grid.K + 1, grid.J):
+        _write(path, grid_csv_text(grid, values, rows), "a")
+
+
+def _grid_csv_round_trips(path: str, grid: SpaceTimeGrid, values: np.ndarray) -> bool:
+    """Whether the file at path is grid_csv_text(grid, values) byte for
+    byte, compared a block of slices at a time.  The file is read in
+    binary, so no line end is translated before the comparison."""
+    with open(path, "rb") as fh:
+        def reads(text: str) -> bool:
+            data = text.encode("utf-8")
+            return fh.read(len(data)) == data
+
+        return (reads(_GRID_CSV_HEADER)
+                and all(reads(grid_csv_text(grid, values, rows))
+                        for rows in _row_blocks(grid.K + 1, grid.J))
+                and fh.read(1) == b"")
 
 
 def _write_summary(out_dir: str, value, iterations, exploitability,
@@ -431,8 +462,8 @@ def run_solve_stop(inst: Instance, out_dir: str, quiet: bool) -> int:
     value = value_at_initial(v, inst.m0)
     gap = abs(value - pair(f_grid, family))
 
-    _write(os.path.join(out_dir, "value.csv"), grid_csv_text(inst.grid, v.values))
-    _write(os.path.join(out_dir, "measure.csv"), grid_csv_text(inst.grid, family.masses))
+    _write_grid_csv(os.path.join(out_dir, "value.csv"), inst.grid, v.values)
+    _write_grid_csv(os.path.join(out_dir, "measure.csv"), inst.grid, family.masses)
     _write_ledger(out_dir, ledger)
     summary = _write_summary(out_dir, value, 0, 0.0, gap, ledger)
     if not quiet:
@@ -448,10 +479,8 @@ def run_solve_mfg(inst: Instance, out_dir: str, quiet: bool) -> int:
     result = fixed_point_solve(inst.spec, inst.ctx, m_init=inst.initial_family(),
                                max_iters=inst.max_iters, eps_tol=inst.eps_tol)
 
-    _write(os.path.join(out_dir, "value.csv"),
-           grid_csv_text(inst.grid, result.v_star.values))
-    _write(os.path.join(out_dir, "measure.csv"),
-           grid_csv_text(inst.grid, result.m_star.masses))
+    _write_grid_csv(os.path.join(out_dir, "value.csv"), inst.grid, result.v_star.values)
+    _write_grid_csv(os.path.join(out_dir, "measure.csv"), inst.grid, result.m_star.masses)
 
     rows = ["iteration,F,eps,rho"]
     tr = result.trace
@@ -514,9 +543,7 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     grid = inst.grid
     suite = _Suite(quiet)
 
-    with open(os.path.join(out_dir, "measure.csv"), encoding="utf-8", newline="") as fh:
-        on_disk = fh.read()
-    same = grid_csv_text(grid, family.masses) == on_disk
+    same = _grid_csv_round_trips(os.path.join(out_dir, "measure.csv"), grid, family.masses)
     suite.check("round-trip", same,
                 "re-serialization reproduces the file bytes" if same else "bytes differ")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, SolverError
-from .measures import MeasureFamily
+from .measures import MeasureFamily, _block_sum
 from .model_core import InitialMeasure, TransitionOperator
 
 __all__ = [
@@ -124,14 +124,26 @@ class ComplementarityReport:
     continuation_residual: float
 
 
+def _stop_region_integral(v: ValueFunction, f: np.ndarray, A: np.ndarray,
+                          P: TransitionOperator) -> float:
+    """sum_{k<K} max(0, -(dt f_k + P_k v_{k+1})) A_k.
+
+    It is np.sum of that whole-grid product, bit for bit, summed a block
+    at a time from the one grid of P_k v_{k+1}, which is freed on return.
+    """
+    dt = P.grid.dt
+    fs, pv, ms = np.ravel(f[:-1]), np.ravel(P.apply_each(v.values[1:])), np.ravel(A[:-1])
+    return float(_block_sum(
+        lambda i, j: np.maximum(0.0, -(dt * fs[i:j] + pv[i:j])) * ms[i:j], 0, fs.size))
+
+
 def complementarity_report(v: ValueFunction, f_grid: np.ndarray,
                            m: MeasureFamily, P: TransitionOperator) -> ComplementarityReport:
     f = np.asarray(f_grid, dtype=float)
     A = m.masses
     if f.shape != A.shape or f.shape != v.values.shape:
         raise ShapeMismatch("value, reward, and family shapes must agree")
-    slack = np.maximum(0.0, -(P.grid.dt * f[:-1] + P.apply_each(v.values[1:])))
-    integral = float(np.sum(slack * A[:-1]))
+    integral = _stop_region_integral(v, f, A, P)
 
     # eligible nodes: the node and both space neighbors continue at
     # slices k and k+1; boundary-adjacent nodes are never eligible

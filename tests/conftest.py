@@ -236,6 +236,13 @@ def per_value_grid_csv_text(grid, values):
     return "".join(rows)
 
 
+def whole_grid_stop_region_integral(v, f, m, P):
+    """complementarity_report's stop-region integral as one whole-grid
+    expression: the reference its block sum must match bit for bit."""
+    slack = np.maximum(0.0, -(P.grid.dt * f[:-1] + P.apply_each(v.values[1:])))
+    return float(np.sum(slack * m.masses[:-1]))
+
+
 def substepped_totals(model, P, m0, v, substeps):
     """Slice totals of v's stop rule under `substeps` implicit substeps per step.
 

@@ -9,6 +9,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 import mfgstop.cli
 import mfgstop.mfg
 import mfgstop.obstacle
-from mfgstop import Iterate, evaluate_reward, solve_vi
+from mfgstop import Iterate, complementarity_report, evaluate_reward, solve_vi
 from mfgstop.cli import (
     MC_SUBSTEPS,
     build_instance,
@@ -27,7 +28,12 @@ from mfgstop.cli import (
     read_grid_csv,
 )
 from mfgstop.errors import VerificationFailure
-from conftest import per_value_grid_csv_text, src_env, substepped_totals
+from conftest import (
+    per_value_grid_csv_text,
+    src_env,
+    substepped_totals,
+    whole_grid_stop_region_integral,
+)
 
 DECOUPLED = """\
 [grid]
@@ -192,6 +198,61 @@ def test_grid_csv_text_matches_the_per_value_formatter():
     cells = [line.split(",")[2] for line in text.splitlines()[1 + 9:1 + 9 + 6]]
     assert cells == ["-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
                      "1e+308"]
+
+
+def _layout_changes(text, at):
+    """Copies of a grid CSV's text that read back as the same values but
+    differ in bytes; a blank line goes in after line `at`."""
+    lines = text.splitlines()
+    return {
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "no_final_newline": "\n".join(lines),
+        "blank_line": "\n".join(lines[:at] + [""] + lines[at:]) + "\n",
+        "extra_final_newline": text + "\n",
+    }
+
+
+def test_grid_csv_is_written_and_compared_a_block_at_a_time(tmp_path):
+    # K = 300, J = 60 makes two blocks of slices, 272 and 29 of them
+    from mfgstop import build_grid
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=300, J=60)
+    values = np.random.default_rng(5).standard_normal(grid.shape)
+    path = tmp_path / "measure.csv"
+    mfgstop.cli._write_grid_csv(str(path), grid, values)
+    text = grid_csv_text(grid, values)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert mfgstop.cli._grid_csv_round_trips(str(path), grid, values)
+
+    last = text.splitlines()[-1].split(",")
+    changed = _layout_changes(text, 1 + 272 * grid.J)
+    changed["last_value"] = text[:-len(last[2]) - 1] + f"{-values[-1, -1]!r}\n"
+    for name, bad in changed.items():
+        path.write_bytes(bad.encode("utf-8"))
+        assert not mfgstop.cli._grid_csv_round_trips(str(path), grid, values), name
+
+
+def test_grid_csv_io_memory_stays_within_a_block(tmp_path):
+    # At J=K=300 a grid CSV is 5.3 MB (random values, 17 digits each),
+    # written in blocks of 48 slices.  Writing value.csv and measure.csv
+    # peaked at 1.73 MiB, and the round-trip at 2.56 MiB; as whole-file
+    # strings they peaked at 10.6 and 15.9 MiB.
+    from mfgstop import build_grid
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=300, J=300)
+    values = np.random.default_rng(6).random(grid.shape) / grid.J
+    path = str(tmp_path / "measure.csv")
+    tracemalloc.start()
+    try:
+        mfgstop.cli._write_grid_csv(str(tmp_path / "value.csv"), grid, values)
+        mfgstop.cli._write_grid_csv(path, grid, values)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        same = mfgstop.cli._grid_csv_round_trips(path, grid, values)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert write_peak < 2 * 2 ** 20
+    assert read_peak < 3 * 2 ** 20
 
 
 def test_solve_mfg_all_continue_init_agrees(tmp_path):
@@ -374,21 +435,35 @@ def test_non_finite_mass_fails_verification(decoupled_artifacts, tmp_path, mass)
         assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
 
 
-@pytest.mark.parametrize("variant", ["blank_line", "crlf", "no_final_newline"])
+@pytest.mark.parametrize("variant", ["blank_line", "crlf", "no_final_newline",
+                                     "extra_final_newline"])
 def test_measure_csv_reader_tolerates_layout(decoupled_artifacts, tmp_path, variant):
     _, out = decoupled_artifacts
     text = (out / "measure.csv").read_text()
     want = read_grid_csv(str(out / "measure.csv"))
-    lines = text.splitlines()
-    changed = {
-        "blank_line": "\n".join(lines[:3] + [""] + lines[3:]) + "\n",
-        "crlf": "\r\n".join(lines) + "\r\n",
-        "no_final_newline": "\n".join(lines),
-    }[variant]
+    changed = _layout_changes(text, 3)[variant]
     path = tmp_path / "measure.csv"
     path.write_bytes(changed.encode("utf-8"))
     for got, ref in zip(read_grid_csv(str(path)), want):
         np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("variant", ["crlf", "no_final_newline", "blank_line",
+                                     "extra_final_newline"])
+def test_verify_round_trip_fails_on_layout_only_changes(decoupled_artifacts, tmp_path,
+                                                        capsys, variant):
+    # read_grid_csv reads each copy back bit for bit (see above), so the
+    # byte comparison is the only check that fails
+    cfg, out = decoupled_artifacts
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("trace.csv", "summary.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    text = (out / "measure.csv").read_text()
+    (bad / "measure.csv").write_bytes(_layout_changes(text, 3)[variant].encode("utf-8"))
+    code, printed = _run(["verify", "--config", cfg, "--out", str(bad), "--quiet"], capsys)
+    assert code == 5
+    assert printed.splitlines() == ["FAIL round-trip (bytes differ)"]
 
 
 def test_verify_missing_artifacts_fails(tmp_path):
@@ -713,6 +788,29 @@ def test_game_output_without_measure_fails_both_checks(stop_now_game, tmp_path):
         (bad / name).write_bytes((out / name).read_bytes())
     for command in ("verify", "mc-check"):
         assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+
+
+def test_stop_region_integral_on_shipped_artifacts_is_the_whole_grid_sum(tmp_path):
+    # each config's solve-stop and solve-mfg families, paired with the
+    # reward and value function of either family's crowd or no crowd
+    nonzero = 0
+    for name in ("congestion", "decoupled", "stop_now"):
+        cfg = str(CONFIGS / f"{name}.ini")
+        inst = build_instance(load_config(cfg), str(CONFIGS))
+        families = []
+        for command in ("solve-stop", "solve-mfg"):
+            out = tmp_path / name / command
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            families.append(mfgstop.cli._read_family(inst, str(out)))
+        for crowd in families + [inst.zero_family()]:
+            f_grid, v = mfgstop.cli._reward_and_value(inst, crowd)
+            for family in families:
+                got = complementarity_report(v, f_grid, family,
+                                             inst.transition).stop_region_integral
+                want = whole_grid_stop_region_integral(v, f_grid, family, inst.transition)
+                assert got.hex() == want.hex(), name
+                nonzero += got != 0.0
+    assert nonzero == 3  # congestion's cross pairings
 
 
 def test_shipped_decoupled_config(tmp_path, capsys):

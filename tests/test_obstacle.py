@@ -1,5 +1,7 @@
 """Backward variational inequality: exactness, duality, complementarity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from mfgstop import (
     value_at_initial,
 )
 from mfgstop.lp_oracle import enumerate_stopping_rules, random_admissible_measure
-from conftest import adjoint_each, make_instance, random_instance
+from conftest import (
+    adjoint_each,
+    make_instance,
+    random_instance,
+    whole_grid_stop_region_integral,
+)
 
 
 def _identity_operator(grid):
@@ -242,6 +249,36 @@ def test_complementarity_detects_mass_in_stop_region():
     m = stopped_forward_measure(None, m0, P)
     rep = complementarity_report(v, f, m, P)
     assert rep.stop_region_integral > 0.01
+
+
+@pytest.mark.parametrize("J, K", [(7, 5), (150, 120), (300, 300)])
+def test_stop_region_integral_is_the_whole_grid_sum_bitwise(J, K):
+    # the larger grids hold 18,000 and 90,000 summands, more than one
+    # block, so the block sum must split them as numpy's pairwise sum does
+    rng = np.random.default_rng(J)
+    grid, model, P, m0, f = random_instance(rng, J=J, K=K)
+    v = solve_vi(f, P)
+    m = random_admissible_measure(P, m0, rng)
+    got = complementarity_report(v, f, m, P).stop_region_integral
+    assert got > 0.0
+    assert got.hex() == whole_grid_stop_region_integral(v, f, m, P).hex()
+
+
+def test_complementarity_report_holds_one_grid():
+    # at J=K=300 the report peaked at 0.86 MiB, 1.25 K x J grids: the
+    # grid of P_k v_{k+1} and a few blocks.  With the stop-region
+    # integral as one whole-grid expression it peaked at 2.16 grids.
+    rng = np.random.default_rng(300)
+    grid, model, P, m0, f = random_instance(rng, J=300, K=300)
+    v = solve_vi(f, P)
+    m = random_admissible_measure(P, m0, rng, n_mix=1)
+    tracemalloc.start()
+    try:
+        complementarity_report(v, f, m, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid.K * grid.J * 8
 
 
 def test_complementarity_allows_mass_on_tie_nodes():
