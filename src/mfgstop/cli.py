@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import re
@@ -218,10 +219,34 @@ def _build_initial(cfg, grid, config_dir: str) -> InitialMeasure:
     raise ValidationError(f"unknown initial kind {kind!r}")
 
 
-def _build_terms(cfg, grid) -> list[tuple[FBarFn, CoefficientFn]]:
+class _ReadKeys:
+    """A config section that records the keys looked up in it."""
+
+    def __init__(self, section):
+        self._section = section
+        self.read = set()
+
+    def get(self, key: str):
+        self.read.add(key)
+        return self._section.get(key)
+
+
+def _build_reward(cfg) -> tuple[list[tuple[FBarFn, CoefficientFn]], ProductField | None]:
+    """The [reward] section's coupled terms and h field.  A key that
+    neither reads, such as a term after a gap in the numbering or a
+    misspelled sub-key, is an error."""
     if not cfg.has_section("reward"):
-        return []
-    sec = cfg["reward"]
+        return [], None
+    sec = _ReadKeys(cfg["reward"])
+    terms = _build_terms(sec)
+    h_field = _field(sec, "h", "reward")
+    unread = sorted(set(cfg["reward"]) - sec.read)
+    if unread:
+        raise ConfigParseError(f"[reward] has keys no term or h reads: {', '.join(unread)}")
+    return terms, h_field
+
+
+def _build_terms(sec) -> list[tuple[FBarFn, CoefficientFn]]:
     terms = []
     i = 1
     while True:
@@ -269,8 +294,7 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     transition = build_transition_operator(model, grid)
     m0 = _build_initial(cfg, grid, config_dir)
 
-    terms = _build_terms(cfg, grid)
-    h_field = _field(cfg["reward"], "h", "reward") if cfg.has_section("reward") else None
+    terms, h_field = _build_reward(cfg)
 
     rho = 0.0
     terminal = None
@@ -342,38 +366,39 @@ def grid_csv_text(grid: SpaceTimeGrid, values: np.ndarray, rows: slice | None = 
     return "".join(lines)
 
 
-def read_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a t,x,value CSV back into (times, nodes, (K+1, J) array).
-
-    J is the length of the first time block, and every block must hold
-    one t and the first block's x; blank lines are skipped.
-    """
+def read_grid_csv(path: str, grid: SpaceTimeGrid) -> np.ndarray:
+    """The (K+1, J) values of the t,x,value CSV at path, whose rows must
+    be grid's t and x in the order grid_csv_text writes them; blank
+    lines are skipped.  It is read a block of slices at a time."""
+    J = grid.J
+    values = np.empty(grid.shape)
     try:
         with open(path, encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != "t,x,value":
-                raise VerificationFailure(f"{path}: expected header t,x,value")
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if fh.readline() != _GRID_CSV_HEADER:
+                raise VerificationFailure(f"{path}: expected header {_GRID_CSV_HEADER.strip()}")
+            lines = itertools.filterfalse(str.isspace, fh)
+            for rows in _row_blocks(grid.K + 1, J):
+                n = rows.stop - rows.start
+                with warnings.catch_warnings():
+                    # a file that ends early is reported below, not warned about
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(itertools.islice(lines, n * J),
+                                      delimiter=",", comments=None, ndmin=2)
+                if (data.shape != (n * J, 3)
+                        or np.any(data[:, 0] != np.repeat(grid.t[rows], J))
+                        or np.any(data[:, 1] != np.tile(grid.x, n))):
+                    raise VerificationFailure(
+                        f"{path}: slices {rows.start}..{rows.stop - 1} are not the "
+                        f"config grid's t,x rows")
+                values[rows] = data[:, 2].reshape(n, J)
+            if next(lines, None) is not None:
+                raise VerificationFailure(
+                    f"{path}: rows after the config grid's last slice")
     except OSError as exc:
         raise VerificationFailure(f"cannot read artifact {path}: {exc}") from exc
     except ValueError as exc:
         raise VerificationFailure(f"{path}: bad row: {exc}") from exc
-    if data.size == 0:
-        raise VerificationFailure(f"{path}: no data rows")
-    if data.shape[1] != 3:
-        raise VerificationFailure(f"{path}: rows must have 3 columns, got {data.shape[1]}")
-    later = np.flatnonzero(data[1:, 0] != data[0, 0])
-    J = int(later[0]) + 1 if later.size else len(data)
-    if len(data) % J != 0:
-        raise VerificationFailure(f"{path}: ragged time blocks")
-    blocks = data.reshape(-1, J, 3)
-    if np.any(blocks[:, :, 0] != blocks[:, :1, 0]):
-        raise VerificationFailure(f"{path}: t varies within a time block")
-    if np.any(blocks[:, :, 1] != blocks[:1, :, 1]):
-        raise VerificationFailure(f"{path}: x differs from the first time block's")
-    return blocks[:, 0, 0], blocks[0, :, 1], np.ascontiguousarray(blocks[:, :, 2])
+    return values
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:
@@ -523,18 +548,12 @@ class _Suite:
 
 
 def _read_family(inst: Instance, out_dir: str) -> MeasureFamily:
-    """The family in out_dir's measure.csv, checked against the config's
-    grid and for finite masses; negative ones are left to the checks."""
-    times, nodes, masses = read_grid_csv(os.path.join(out_dir, "measure.csv"))
-    grid = inst.grid
-    if masses.shape != grid.shape:
-        raise VerificationFailure(
-            f"measure CSV shape {masses.shape} does not match config grid {grid.shape}")
-    if not (np.array_equal(times, grid.t) and np.array_equal(nodes, grid.x)):
-        raise VerificationFailure("measure CSV coordinates differ from config grid")
+    """The family in out_dir's measure.csv, read on the config's grid and
+    checked for finite masses; negative ones are left to the checks."""
+    masses = read_grid_csv(os.path.join(out_dir, "measure.csv"), inst.grid)
     if not np.all(np.isfinite(masses)):
         raise VerificationFailure("measure CSV has non-finite masses")
-    return MeasureFamily(masses, grid, validate=False)
+    return MeasureFamily(masses, inst.grid, validate=False)
 
 
 def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
@@ -631,8 +650,8 @@ class _SubsteppedSlice:
 def run_mc_check(inst: Instance, out_dir: str, seed: int | None, quiet: bool) -> int:
     grid = inst.grid
     is_mfg = os.path.exists(os.path.join(out_dir, "trace.csv"))
-    crowd = _read_family(inst, out_dir) if is_mfg else inst.zero_family()
-    _, v = _read_crowd_reward_and_value(inst, crowd)
+    v = _read_crowd_reward_and_value(
+        inst, _read_family(inst, out_dir) if is_mfg else inst.zero_family())[1]
     # v's stop rule acts at slice boundaries only; steps share substep
     # slices where they share a slice, built at the first step using it
     first = {}

@@ -127,6 +127,11 @@ def _run(args, capsys=None):
     return code, capsys.readouterr().out
 
 
+def _grid(cfg):
+    """The grid of the config file at cfg."""
+    return build_instance(load_config(cfg), str(pathlib.Path(cfg).parent)).grid
+
+
 def _bump_cfg(tmp_path):
     x = np.linspace(-3.0, 3.0, 61)[1:-1]
     w = np.exp(-0.5 * (x / 0.5) ** 2)
@@ -178,11 +183,9 @@ def test_measure_csv_round_trips_bitwise(tmp_path):
     out = tmp_path / "out"
     assert main(["solve-mfg", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     path = out / "measure.csv"
-    times, nodes, masses = read_grid_csv(str(path))
     from mfgstop import build_grid
     grid = build_grid(T=1.0, a=0.0, b=1.0, K=8, J=6)
-    np.testing.assert_array_equal(times, grid.t)
-    np.testing.assert_array_equal(nodes, grid.x)
+    masses = read_grid_csv(str(path), grid)
     assert grid_csv_text(grid, masses) == path.read_text()
 
 
@@ -255,6 +258,26 @@ def test_grid_csv_io_memory_stays_within_a_block(tmp_path):
     assert read_peak < 3 * 2 ** 20
 
 
+def test_grid_csv_reader_memory_stays_within_a_block(tmp_path):
+    # At J=K=300 the read peaked at 1.43 MiB of Python allocations: the
+    # (K+1)xJ result (0.69 MiB) and one block of parsed rows.  Parsing
+    # the whole file and copying the values out peaked at 3.44 MiB.
+    from mfgstop import build_grid
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=300, J=300)
+    values = np.random.default_rng(6).random(grid.shape) / grid.J
+    path = str(tmp_path / "measure.csv")
+    mfgstop.cli._write_grid_csv(path, grid, values)
+    tracemalloc.start()
+    try:
+        got = read_grid_csv(path, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, values)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert peak < 2 * 2 ** 20
+
+
 def test_solve_mfg_all_continue_init_agrees(tmp_path):
     cfg_a = _cfg(tmp_path, DECOUPLED, "a.ini")
     cfg_b = _cfg(tmp_path, DECOUPLED + "m_init = all_continue\n", "b.ini")
@@ -277,7 +300,7 @@ def test_solve_stop_all_negative_reward(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["value"] == 0.0
     assert summary["stopped_mass"] == pytest.approx(1.0, abs=1e-12)
-    _, _, masses = read_grid_csv(str(out / "measure.csv"))
+    masses = read_grid_csv(str(out / "measure.csv"), _grid(cfg))
     np.testing.assert_array_equal(masses, np.zeros((7, 5)))
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["conservation_gap"] <= 1e-12
@@ -304,7 +327,7 @@ def test_solve_stop_atom_start_never_stopping(tmp_path):
     cfg = _cfg(tmp_path, NEVER_STOP)
     out = tmp_path / "out"
     assert main(["solve-stop", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    _, _, masses = read_grid_csv(str(out / "measure.csv"))
+    masses = read_grid_csv(str(out / "measure.csv"), _grid(cfg))
     row0 = masses[0]
     assert np.count_nonzero(row0) == 1
     assert row0.sum() == 1.0
@@ -412,7 +435,23 @@ def test_malformed_measure_csv_fails_verification(stop_now_game, tmp_path, case)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(VerificationFailure):
-            read_grid_csv(str(path))
+            read_grid_csv(str(path), _grid(cfg))
+    for command in ("verify", "mc-check"):
+        assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
+
+
+def test_measure_csv_with_rows_after_the_grid_fails_verification(stop_now_game, tmp_path):
+    # every slice of the config's grid is intact, and one more row follows
+    cfg, out = stop_now_game
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("trace.csv", "summary.json", "measure.csv"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    path = bad / "measure.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + text.splitlines()[-1] + "\n", encoding="utf-8")
+    with pytest.raises(VerificationFailure, match="after the config grid's last slice"):
+        read_grid_csv(str(path), _grid(cfg))
     for command in ("verify", "mc-check"):
         assert main([command, "--config", cfg, "--out", str(bad), "--quiet"]) == 5
 
@@ -438,14 +477,13 @@ def test_non_finite_mass_fails_verification(decoupled_artifacts, tmp_path, mass)
 @pytest.mark.parametrize("variant", ["blank_line", "crlf", "no_final_newline",
                                      "extra_final_newline"])
 def test_measure_csv_reader_tolerates_layout(decoupled_artifacts, tmp_path, variant):
-    _, out = decoupled_artifacts
+    cfg, out = decoupled_artifacts
     text = (out / "measure.csv").read_text()
-    want = read_grid_csv(str(out / "measure.csv"))
+    want = read_grid_csv(str(out / "measure.csv"), _grid(cfg))
     changed = _layout_changes(text, 3)[variant]
     path = tmp_path / "measure.csv"
     path.write_bytes(changed.encode("utf-8"))
-    for got, ref in zip(read_grid_csv(str(path)), want):
-        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(read_grid_csv(str(path), _grid(cfg)), want)
 
 
 @pytest.mark.parametrize("variant", ["crlf", "no_final_newline", "blank_line",
@@ -503,6 +541,35 @@ def test_mc_check_degenerate_all_stop(tmp_path):
     out = tmp_path / "out"
     assert main(["solve-stop", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert main(["mc-check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+
+def test_mc_check_holds_only_the_value_function_while_it_simulates(tmp_path, monkeypatch):
+    # At J=K=300 the live memory at simulate_paths' entry measured 1.15
+    # (K+1)xJ grids: v's values and stop mask.  Keeping the crowd read
+    # from measure.csv and its reward besides measured 3.14.
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    cfg = _cfg(tmp_path, text.replace("K = 100", "K = 300").replace("J = 100", "J = 300"))
+    out = tmp_path / "out"
+    assert main(["solve-mfg", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    inst = build_instance(load_config(cfg), str(tmp_path))
+    live = []
+
+    class Entered(Exception):
+        pass
+
+    def entry(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        raise Entered
+
+    monkeypatch.setattr(mfgstop.cli, "simulate_paths", entry)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Entered):
+            mfgstop.cli.run_mc_check(inst, str(out), None, True)
+    finally:
+        tracemalloc.stop()
+    grid_bytes = (inst.grid.K + 1) * inst.grid.J * 8
+    assert live[0] < 2 * grid_bytes
 
 
 def test_mc_check_flags_systematic_bias(tmp_path, capsys):
@@ -610,8 +677,8 @@ terminal.params = 0.0 0.0 0.5
     out_f, out_e = tmp_path / "f", tmp_path / "e"
     assert main(["solve-stop", "--config", cfg_f, "--out", str(out_f), "--quiet"]) == 0
     assert main(["solve-stop", "--config", cfg_e, "--out", str(out_e), "--quiet"]) == 0
-    _, _, vf = read_grid_csv(str(out_f / "value.csv"))
-    _, _, ve = read_grid_csv(str(out_e / "value.csv"))
+    vf = read_grid_csv(str(out_f / "value.csv"), _grid(cfg_f))
+    ve = read_grid_csv(str(out_e / "value.csv"), _grid(cfg_e))
     np.testing.assert_allclose(vf, ve, atol=1e-14)
 
 
@@ -692,6 +759,22 @@ def test_non_numeric_initial_exits_2(tmp_path, capsys, kind, masses):
     assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "abc" in err
+
+
+@pytest.mark.parametrize("extra, unread", [
+    ("term3.fbar.kind = linear\nterm3.fbar.params = 5.0, 0.0\n"
+     "term3.g.kind = constant\nterm3.g.params = 1.0\n",
+     "term3.fbar.kind, term3.fbar.params, term3.g.kind, term3.g.params"),
+    ("term1.theta.kinds = constant\nterm1.theta.params = 2.0\n",
+     "term1.theta.kinds, term1.theta.params"),
+], ids=["term-after-a-gap", "misspelled-sub-key"])
+def test_unread_reward_key_exits_2(tmp_path, capsys, extra, unread):
+    # both configs once solved as congestion.ini alone, value 0.486150600546
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    cfg = _cfg(tmp_path, text.replace("[algorithm]", extra + "\n[algorithm]"))
+    capsys.readouterr()
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: [reward] has keys no term or h reads: {unread}\n"
 
 
 def test_bad_m_init_exits_3(tmp_path):
@@ -779,6 +862,23 @@ def test_crowd_from_another_horizon_fails_both_checks(stop_now_game, tmp_path):
         assert main([command, "--config", other, "--out", str(out), "--quiet"]) == 5
 
 
+@pytest.mark.parametrize("old, new", [("K = 40", "K = 41"), ("J = 30", "J = 31"),
+                                      ("b = 1.0", "b = 2.0")], ids=["K", "J", "b"])
+def test_measure_csv_from_another_grid_fails_both_checks(stop_now_game, tmp_path, capsys,
+                                                         old, new):
+    # the reader checks every row's t and x against the config's grid; a
+    # config of another horizon T is the test above
+    cfg, out = stop_now_game
+    text = pathlib.Path(cfg).read_text(encoding="utf-8")
+    assert old in text
+    other = _cfg(tmp_path, text.replace(old, new))
+    for command in ("verify", "mc-check"):
+        capsys.readouterr()
+        assert main([command, "--config", other, "--out", str(out), "--quiet"]) == 5
+        err = capsys.readouterr().err
+        assert "config grid" in err
+
+
 def test_game_output_without_measure_fails_both_checks(stop_now_game, tmp_path):
     # a trace marks a solve-mfg output, whose crowd must not default to zero
     cfg, out = stop_now_game
@@ -833,7 +933,7 @@ def test_shipped_stop_now_config(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["value"] == 0.0
     assert summary["stopped_mass"] == pytest.approx(1.0, abs=1e-12)
-    _, _, masses = read_grid_csv(str(out / "measure.csv"))
+    masses = read_grid_csv(str(out / "measure.csv"), _grid(cfg))
     assert not masses.any()
     assert main(["mc-check", "--config", cfg, "--out", str(out),
                  "--quiet"]) == 0
