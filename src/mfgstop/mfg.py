@@ -22,9 +22,10 @@ exact mask returns a recurring rule's family without pushing again,
 bitwise equal to a fresh push.  To bound memory it keeps a push
 only once its rule has recurred among the last few best responses, and
 at most three of them.  The loop holds no value grid and no reward past
-the obstacle problem: a best response keeps only the stop mask of its
-obstacle problem, and the best iterate only its ``Iterate``.  At exit
-the reward and value grid of the best iterate are recomputed from its
+the obstacle problem: a best response builds its value grid in its
+reward's buffer, keeps only the stop mask, and frees the grid before
+its push; the best iterate keeps only its ``Iterate``.  At exit the
+reward and value grid of the best iterate are recomputed from its
 moment paths, bit for bit.
 """
 
@@ -133,10 +134,12 @@ def best_response(spec: RewardSpec, it: Iterate, ctx: ModelContext,
     its rule.  Its exploitability, the value a single deviating agent
     gains by playing it against the crowd, is ``directional_gain`` from
     it to the response's ``Iterate``.  pushes, if given, must be a
-    ``PushCache`` of ctx, and the push is taken from it.  Only the stop
-    mask of the value function is kept, and the reward goes before the
-    push, so neither grid is live during the push."""
-    stop = solve_vi(evaluate_reward(spec, it.ys), ctx.transition).stop_mask
+    ``PushCache`` of ctx, and the push is taken from it.  The value grid
+    is built in the reward's buffer, the reward being a temporary, and
+    only its stop mask is kept, so one grid is live during the obstacle
+    problem and none during the push."""
+    stop = solve_vi(evaluate_reward(spec, it.ys), ctx.transition,
+                    overwrite_f=True).stop_mask
     if pushes is None:
         fam = stopped_forward_measure(stop, ctx.m0, ctx.transition)
     else:

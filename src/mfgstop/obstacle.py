@@ -50,7 +50,8 @@ class ValueFunction:
         return self.values.shape[1]
 
 
-def solve_vi(f_grid: np.ndarray, P: TransitionOperator) -> ValueFunction:
+def solve_vi(f_grid: np.ndarray, P: TransitionOperator,
+             overwrite_f: bool = False) -> ValueFunction:
     """Backward recursion v_k = max(0, dt f_k + P_k v_{k+1}), v_K = 0,
     with dt the time step of P's grid.
 
@@ -61,6 +62,12 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator) -> ValueFunction:
         pairing carries no weight there).
     P : TransitionOperator
         Per-step transitions.
+    overwrite_f : bool
+        Allow the value grid to be built in f_grid's buffer, as scipy's
+        overwrite_b does: for a float64 f_grid the returned ``values``
+        is f_grid itself, overwritten, and no second grid is allocated.
+        For a caller with no further use for its reward.  The values
+        have the same bits either way.
 
     Returns
     -------
@@ -79,7 +86,7 @@ def solve_vi(f_grid: np.ndarray, P: TransitionOperator) -> ValueFunction:
     # each row is built in place: dt f_k, plus P_k v_{k+1}, then the max
     # with 0.0 as the first argument: on a tie of signed zeros the
     # result of np.maximum depends on the argument order
-    v = np.empty((K + 1, J))
+    v = f if overwrite_f else np.empty((K + 1, J))
     np.multiply(P.grid.dt, f[:K], out=v[:K])
     v[K] = 0.0
     steps = P.steps

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from mfgstop import (
+    CoefficientFn,
+    DiffusionModel,
     InitialMeasure,
     MeasureFamily,
+    ProductField,
     ShapeMismatch,
     SolverError,
     Tridiagonal,
     TransitionOperator,
     TransitionSlice,
     build_grid,
+    build_transition_operator,
     complementarity_report,
     pair,
     solve_vi,
@@ -125,6 +129,30 @@ def test_in_place_rows_match_the_one_expression_recursion_bitwise():
         v = solve_vi(f, P)
         assert v.values.tobytes() == ref.tobytes()
         assert np.array_equal(v.stop_mask, ref <= v.tol_zero)
+
+
+@pytest.mark.parametrize("sigma_time", [None, CoefficientFn.affine(1.0, 0.5)],
+                         ids=["homogeneous", "time-dependent"])
+def test_overwrite_f_builds_the_same_value_grid_in_the_reward(sigma_time):
+    # the default leaves f's bytes alone; overwrite_f=True returns the
+    # same values, stop mask and tolerance, built in f's own buffer
+    grid = build_grid(T=1.0, a=0.0, b=1.0, K=12, J=9)
+    model = DiffusionModel(mu=ProductField(CoefficientFn.constant(0.2)),
+                           sigma=ProductField(CoefficientFn.constant(0.5), time=sigma_time))
+    P = build_transition_operator(model, grid)
+    assert len(P.slices) == (1 if sigma_time is None else grid.K)
+    rng = np.random.default_rng(35)
+    f = rng.uniform(-1.0, 1.0, size=grid.shape)
+    f[rng.random(f.shape) < 0.3] = -0.0
+    before = f.tobytes()
+    v = solve_vi(f, P)
+    assert f.tobytes() == before
+    assert not np.shares_memory(v.values, f)
+    w = solve_vi(f, P, overwrite_f=True)
+    assert np.shares_memory(w.values, f)
+    assert w.values.tobytes() == v.values.tobytes()
+    assert w.stop_mask.tobytes() == v.stop_mask.tobytes()
+    assert w.tol_zero == v.tol_zero
 
 
 # ----------------------------------------------------------------------
