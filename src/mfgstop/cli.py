@@ -191,59 +191,72 @@ class Instance:
 def _build_initial(cfg, grid, config_dir: str) -> InitialMeasure:
     if not cfg.has_section("initial"):
         raise ConfigParseError("missing section [initial]")
-    sec = cfg["initial"]
-    kind = _require(sec, "kind", "initial").strip()
-    call = re.fullmatch(r"(atom|tabulated)\((.*)\)", kind)
-    arg = None
-    if call:
-        kind, arg = call.group(1), call.group(2).strip()
-    if kind == "uniform":
-        return InitialMeasure.uniform(grid)
-    if kind == "atom":
-        x0 = _number(sec if arg is None else {"x0": arg}, "x0", "initial", float)
-        return InitialMeasure.atom(grid, x0)
-    if kind == "tabulated":
-        rel = arg if arg is not None else _require(sec, "path", "initial")
-        path = rel if os.path.isabs(rel) else os.path.join(config_dir, rel)
-        try:
-            masses = np.loadtxt(path, dtype=float).ravel()
-        except (OSError, ValueError) as exc:
-            raise ConfigParseError(f"cannot read initial masses {path}: {exc}") from exc
-        if masses.size != grid.J:
-            raise ValidationError(f"initial masses {path}: {masses.size} values, "
-                                  f"but the grid has J={grid.J} nodes")
-        total = masses.sum()
-        if total <= 0:
-            raise ValidationError("tabulated initial masses must have positive total")
-        return InitialMeasure.from_masses(masses / total)
-    raise ValidationError(f"unknown initial kind {kind!r}")
+    with _ReadKeys(cfg, "initial") as sec:
+        kind = _require(sec, "kind", "initial").strip()
+        call = re.fullmatch(r"(atom|tabulated)\((.*)\)", kind)
+        arg = None
+        if call:
+            kind, arg = call.group(1), call.group(2).strip()
+        if kind == "uniform":
+            return InitialMeasure.uniform(grid)
+        if kind == "atom":
+            x0 = _number(sec if arg is None else {"x0": arg}, "x0", "initial", float)
+            return InitialMeasure.atom(grid, x0)
+        if kind == "tabulated":
+            rel = arg if arg is not None else _require(sec, "path", "initial")
+            path = rel if os.path.isabs(rel) else os.path.join(config_dir, rel)
+            try:
+                masses = np.loadtxt(path, dtype=float).ravel()
+            except (OSError, ValueError) as exc:
+                raise ConfigParseError(f"cannot read initial masses {path}: {exc}") from exc
+            if masses.size != grid.J:
+                raise ValidationError(f"initial masses {path}: {masses.size} values, "
+                                      f"but the grid has J={grid.J} nodes")
+            total = masses.sum()
+            if total <= 0:
+                raise ValidationError("tabulated initial masses must have positive total")
+            return InitialMeasure.from_masses(masses / total)
+        raise ValidationError(f"unknown initial kind {kind!r}")
 
 
 class _ReadKeys:
-    """A config section that records the keys looked up in it."""
+    """Section name of cfg (empty if cfg has none), recording the keys
+    looked up in it.  A ``with`` block over it that ends without an
+    exception raises ConfigParseError naming every key of the section
+    that was not looked up, such as a misspelled one.  Keys of
+    configparser's DEFAULT section are shared by every section, so they
+    are never named."""
 
-    def __init__(self, section):
-        self._section = section
-        self.read = set()
+    def __init__(self, cfg: configparser.ConfigParser, name: str, readers: str = "nothing"):
+        self._section = cfg[name] if cfg.has_section(name) else {}
+        self._shared = set(cfg.defaults())
+        self._option = cfg.optionxform  # the key as the section stores it
+        self._name = name
+        self._readers = readers
+        self._read = set()
 
-    def get(self, key: str):
-        self.read.add(key)
-        return self._section.get(key)
+    def get(self, key: str, fallback=None):
+        self._read.add(self._option(key))
+        return self._section.get(key, fallback)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            unread = sorted(set(self._section) - self._read - self._shared)
+            if unread:
+                raise ConfigParseError(
+                    f"[{self._name}] has keys {self._readers} reads: {', '.join(unread)}")
+        return False
 
 
 def _build_reward(cfg) -> tuple[list[tuple[FBarFn, CoefficientFn]], ProductField | None]:
     """The [reward] section's coupled terms and h field.  A key that
     neither reads, such as a term after a gap in the numbering or a
     misspelled sub-key, is an error."""
-    if not cfg.has_section("reward"):
-        return [], None
-    sec = _ReadKeys(cfg["reward"])
-    terms = _build_terms(sec)
-    h_field = _field(sec, "h", "reward")
-    unread = sorted(set(cfg["reward"]) - sec.read)
-    if unread:
-        raise ConfigParseError(f"[reward] has keys no term or h reads: {', '.join(unread)}")
-    return terms, h_field
+    with _ReadKeys(cfg, "reward", "no term or h") as sec:
+        return _build_terms(sec), _field(sec, "h", "reward")
 
 
 def _build_terms(sec) -> list[tuple[FBarFn, CoefficientFn]]:
@@ -276,18 +289,18 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     for name in ("grid", "model"):
         if not cfg.has_section(name):
             raise ConfigParseError(f"missing section [{name}]")
-    gsec = cfg["grid"]
-    grid = build_grid(
-        T=_number(gsec, "T", "grid", float),
-        a=_number(gsec, "a", "grid", float),
-        b=_number(gsec, "b", "grid", float),
-        K=_number(gsec, "K", "grid", int),
-        J=_number(gsec, "J", "grid", int),
-    )
+    with _ReadKeys(cfg, "grid") as gsec:
+        grid = build_grid(
+            T=_number(gsec, "T", "grid", float),
+            a=_number(gsec, "a", "grid", float),
+            b=_number(gsec, "b", "grid", float),
+            K=_number(gsec, "K", "grid", int),
+            J=_number(gsec, "J", "grid", int),
+        )
 
-    msec = cfg["model"]
-    mu = _field(msec, "mu", "model")
-    sigma = _field(msec, "sigma", "model")
+    with _ReadKeys(cfg, "model") as msec:
+        mu = _field(msec, "mu", "model")
+        sigma = _field(msec, "sigma", "model")
     if mu is None or sigma is None:
         raise ConfigParseError("[model] needs mu.kind and sigma.kind")
     model = DiffusionModel(mu=mu, sigma=sigma)
@@ -299,9 +312,9 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
     rho = 0.0
     terminal = None
     if cfg.has_section("discount"):
-        dsec = cfg["discount"]
-        rho = _number(dsec, "rho", "discount", float)
-        terminal = _field(dsec, "terminal", "discount")
+        with _ReadKeys(cfg, "discount") as dsec:
+            rho = _number(dsec, "rho", "discount", float)
+            terminal = _field(dsec, "terminal", "discount")
 
     h: ProductField | np.ndarray | None = h_field
     if rho != 0.0 or terminal is not None:
@@ -321,21 +334,21 @@ def build_instance(cfg: configparser.ConfigParser, config_dir: str) -> Instance:
 
     spec = RewardSpec(terms=tuple(terms), h=h).validated(grid, m0)
 
-    asec = cfg["algorithm"] if cfg.has_section("algorithm") else {}
-    max_iters = _number(asec, "max_iters", "algorithm", int, default=500)
-    eps_tol = _number(asec, "eps_tol", "algorithm", float, default=1e-6)
-    check_budget(max_iters, eps_tol)
-    m_init = asec.get("m_init", "zero").strip()
+    with _ReadKeys(cfg, "algorithm") as asec:
+        max_iters = _number(asec, "max_iters", "algorithm", int, default=500)
+        eps_tol = _number(asec, "eps_tol", "algorithm", float, default=1e-6)
+        check_budget(max_iters, eps_tol)
+        m_init = asec.get("m_init", "zero").strip()
     if m_init not in ("zero", "all_continue"):
         raise ValidationError(f"[algorithm] m_init must be zero or all_continue, got {m_init!r}")
 
-    mcsec = cfg["mc"] if cfg.has_section("mc") else {}
-    n_paths = _number(mcsec, "n_paths", "mc", int, default=100000)
-    # 100x the largest sample in use; the start-node draw alone takes
-    # about 16 bytes per path
-    if not 1 <= n_paths <= 10 ** 7:
-        raise ValidationError(f"[mc] n_paths must be in [1, 10**7], got {n_paths}")
-    mc_seed = _number(mcsec, "seed", "mc", int, default=0)
+    with _ReadKeys(cfg, "mc") as mcsec:
+        n_paths = _number(mcsec, "n_paths", "mc", int, default=100000)
+        # 100x the largest sample in use; the start-node draw alone takes
+        # about 16 bytes per path
+        if not 1 <= n_paths <= 10 ** 7:
+            raise ValidationError(f"[mc] n_paths must be in [1, 10**7], got {n_paths}")
+        mc_seed = _number(mcsec, "seed", "mc", int, default=0)
     _check_seed(mc_seed, "[mc] seed")
 
     return Instance(grid, model, transition, m0, spec,
@@ -609,6 +622,8 @@ def run_verify(inst: Instance, out_dir: str, seed: int, quiet: bool) -> int:
     suite.check("fp-residual", worst <= 1e-9,
                 f"worst scaled residual {worst:.3e} over 10 test functions")
 
+    # the audit reads only the family, m0 and the operator (peak memory)
+    f_grid = v = forward = phi = None
     audit = test_function_audit(family, inst.m0, inst.transition,
                                 n_functions=100, seed=seed)
     suite.check("audit", audit.worst_normalized >= -1e-9,

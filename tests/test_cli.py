@@ -365,6 +365,36 @@ def test_verify_accepts_seed_override(tmp_path):
                  "--seed", "5", "--quiet"]) == 0
 
 
+def test_verify_holds_only_the_family_while_it_audits(tmp_path, monkeypatch):
+    # The audit reads the family read from measure.csv, m0 and the
+    # operator.  Keeping f, v, the pushed family and the last test
+    # function besides measured 5.14 (K+1)xJ grids live at its entry at
+    # J=K=300; dropping them, 1.02.
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    cfg = _cfg(tmp_path, text.replace("K = 100", "K = 300").replace("J = 100", "J = 300"))
+    out = tmp_path / "out"
+    assert main(["solve-mfg", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    inst = build_instance(load_config(cfg), str(tmp_path))
+    live = []
+
+    class Entered(Exception):
+        pass
+
+    def entry(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        raise Entered
+
+    monkeypatch.setattr(mfgstop.cli, "test_function_audit", entry)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Entered):
+            mfgstop.cli.run_verify(inst, str(out), 0, True)
+    finally:
+        tracemalloc.stop()
+    grid_bytes = (inst.grid.K + 1) * inst.grid.J * 8
+    assert live[0] < 2 * grid_bytes
+
+
 def test_verify_detects_tampered_measure(tmp_path, capsys):
     cfg = _cfg(tmp_path, DECOUPLED)
     out = tmp_path / "out"
@@ -775,6 +805,36 @@ def test_unread_reward_key_exits_2(tmp_path, capsys, extra, unread):
     capsys.readouterr()
     assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: [reward] has keys no term or h reads: {unread}\n"
+
+
+@pytest.mark.parametrize("section, extra, unread", [
+    ("grid", "dt = 0.01\n", "dt"),
+    ("model", "sigma.time.kinds = affine\nsigma.time.params = 1.0 0.5\n",
+     "sigma.time.kinds, sigma.time.params"),
+    ("initial", "x0 = 0.3\n", "x0"),
+    ("discount", "rho = 0.0\nterminal.kinds = constant\n", "terminal.kinds"),
+    ("algorithm", "max_iter = 10\n", "max_iter"),
+    ("mc", "n_path = 10\n", "n_path"),
+])
+def test_unread_key_in_any_section_exits_2(tmp_path, capsys, section, extra, unread):
+    # each config once solved as congestion.ini alone: a misspelled
+    # sigma.time.kind left sigma constant in time
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    header = f"[{section}]\n"
+    text = text.replace(header, header + extra) if header in text else text + header + extra
+    cfg = _cfg(tmp_path, text)
+    capsys.readouterr()
+    assert main(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: [{section}] has keys nothing reads: {unread}\n"
+
+
+def test_default_section_keys_are_not_unread_keys(tmp_path, capsys):
+    # configparser shares DEFAULT's keys with every section
+    text = (CONFIGS / "congestion.ini").read_text(encoding="utf-8")
+    cfg = _cfg(tmp_path, "[DEFAULT]\nowner = crowding study\n\n" + text)
+    code, out = _run(["solve-stop", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+    assert code == 0
+    assert "value 0.486150600546," in out
 
 
 def test_bad_m_init_exits_3(tmp_path):
